@@ -1,6 +1,6 @@
 // xnfbench regenerates every table, figure and quantitative claim of the
-// paper and prints them in the paper's layout. See EXPERIMENTS.md for the
-// expected shapes.
+// paper and prints them in the paper's layout. benchmark/README.md records
+// the expected shapes (Table 1's summary row is 23 / 16 / 7 exactly).
 //
 //	xnfbench                  — run everything
 //	xnfbench -exp table1      — Table 1 (derivation-cost comparison)

@@ -107,39 +107,12 @@ func TestFromRowsPreservesHoles(t *testing.T) {
 			t.Fatalf("slot %d = %v, want %v", i, got, r)
 		}
 	}
-	views := tb.Views()
+	views, _ := tb.TypedViews(nil)
 	if len(views) != 1 {
 		t.Fatalf("views = %d", len(views))
 	}
 	if views[0].Rows() != 3 || len(views[0].Sel) != 3 {
 		t.Fatalf("view rows = %d sel = %v", views[0].Rows(), views[0].Sel)
-	}
-}
-
-func TestViewSnapshotSemantics(t *testing.T) {
-	tb := New([]types.Type{types.IntType})
-	for i := 0; i < SegRows; i++ { // exactly one full segment → cached view
-		tb.Append(intRow(int64(i)))
-	}
-	v1 := tb.Views()
-	v2 := tb.Views()
-	if &v1[0].Cols[0][0] != &v2[0].Cols[0][0] {
-		t.Fatal("full unchanged segment should reuse its cached view")
-	}
-	// A mutation must not show through the already-built view…
-	tb.Set(10, intRow(999))
-	if v1[0].Cols[0][10].I != 10 {
-		t.Fatal("mutation leaked into an existing view")
-	}
-	// …but must invalidate the cache for the next scan.
-	v3 := tb.Views()
-	if v3[0].Cols[0][10].I != 999 {
-		t.Fatal("stale view served after mutation")
-	}
-	tb.Delete(20)
-	v4 := tb.Views()
-	if v4[0].Rows() != SegRows-1 {
-		t.Fatalf("view rows = %d after delete", v4[0].Rows())
 	}
 }
 

@@ -20,17 +20,15 @@
 //
 // # Views and zero-copy scans
 //
-// Scans do not gather rows. The primary scan interface is the typed view:
+// Scans do not gather rows. The scan interface is the typed view:
 // TypedViews snapshots each segment as TypedCol payload arrays plus null
 // bitmaps (a copy of the raw arrays — never boxed), and the batch engine's
 // typed kernels run comparisons, arithmetic and aggregation directly over
-// them, boxing a types.Value only at projection/row boundaries. The legacy
-// boxed View (each column materialized as []types.Value) remains as the
-// measurement baseline and for callers that want boxed vectors up front.
+// them, boxing a types.Value only at projection/row boundaries.
 //
-// Views of either kind are immutable once built; every mutation bumps the
-// segment version so the next scan rebuilds. Full segments (n == SegRows)
-// cache both snapshots in atomic pointers — the common case for loaded
+// Views are immutable once built; every mutation bumps the segment version
+// so the next scan rebuilds. Full segments (n == SegRows) cache the
+// snapshot in an atomic pointer — the common case for loaded
 // analytical tables, where repeated scans touch no per-row code at all.
 // The mutable tail segment rebuilds its view per scan, which bounds
 // staleness without locking writers out.

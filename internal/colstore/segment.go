@@ -110,26 +110,6 @@ func (v *colVec) load(i int) types.Value {
 	}
 }
 
-// View is the scan-facing snapshot of one segment: fully decoded column
-// vectors the batch executor slices with zero copy, plus the selection of
-// live slots (nil when every slot of the segment is live). A View is
-// immutable; mutations to the segment after the view was built are not
-// visible through it (snapshot semantics, exactly like the row heap's
-// Snapshot of row pointers).
-type View struct {
-	Cols [][]types.Value
-	Sel  []int // live slot offsets; nil = all N slots live
-	N    int   // physical slots covered
-}
-
-// Rows returns the live row count of the view.
-func (v View) Rows() int {
-	if v.Sel != nil {
-		return len(v.Sel)
-	}
-	return v.N
-}
-
 // segment is one SegRows-slot chunk of a Table.
 type segment struct {
 	n       int // physical slots in use
@@ -145,18 +125,11 @@ type segment struct {
 	// deletes) and are recomputed exactly by ANALYZE.
 	zones []zone
 
-	// view caches the decoded snapshot of a full segment, stamped with the
+	// tview caches the typed snapshot of a full segment, stamped with the
 	// version it was built at. Readers build-and-publish racily (last write
 	// wins — both candidates are equivalent), writers invalidate by bumping
-	// version under the owning table's write lock. tview is the same cache
-	// for the typed (unboxed) snapshot.
-	view  atomic.Pointer[stampedView]
+	// version under the owning table's write lock.
 	tview atomic.Pointer[stampedTypedView]
-}
-
-type stampedView struct {
-	version uint64
-	v       View
 }
 
 type stampedTypedView struct {
@@ -275,7 +248,6 @@ func (s *segment) hollowOut() {
 	}
 	s.hollow = true
 	s.zones = make([]zone, len(s.cols))
-	s.view.Store(nil)
 	s.tview.Store(nil)
 	s.version++
 }
@@ -336,7 +308,6 @@ func (s *segment) encode() {
 		}
 	}
 	if changed {
-		s.view.Store(nil)
 		s.tview.Store(nil)
 		s.version++
 	}
@@ -375,7 +346,6 @@ func (s *segment) unencode() {
 		changed = true
 	}
 	if changed {
-		s.view.Store(nil)
 		s.tview.Store(nil)
 		s.version++
 	}
@@ -404,21 +374,6 @@ func (s *segment) recomputeZones() {
 		}
 	}
 	s.zones = zs
-}
-
-// snapshot returns the current view of the segment, reusing the cached
-// decode when the segment is full and unchanged since the cache was built.
-// Callers must hold at least the owning table's read lock.
-func (s *segment) snapshot() View {
-	if s.n == SegRows {
-		if sv := s.view.Load(); sv != nil && sv.version == s.version {
-			return sv.v
-		}
-		v := s.decode()
-		s.view.Store(&stampedView{version: s.version, v: v})
-		return v
-	}
-	return s.decode()
 }
 
 // typedSnapshot is snapshot's unboxed counterpart: the typed payload and
@@ -478,47 +433,4 @@ func (s *segment) liveSel() []int {
 		}
 	}
 	return sel
-}
-
-// decode materializes every column (and the live selection) of the segment.
-func (s *segment) decode() View {
-	v := View{Cols: make([][]types.Value, len(s.cols)), N: s.n}
-	for c := range s.cols {
-		out := make([]types.Value, s.n)
-		vec := &s.cols[c]
-		nulls := s.nulls[c]
-		if vec.encoded() {
-			for i := 0; i < s.n; i++ {
-				if !nulls.Get(i) {
-					out[i] = vec.load(i)
-				}
-			}
-			v.Cols[c] = out
-			continue
-		}
-		switch vec.typ {
-		case types.FloatType:
-			for i := 0; i < s.n; i++ {
-				if !nulls.Get(i) {
-					out[i] = types.Value{T: types.FloatType, F: vec.floats[i]}
-				}
-			}
-		case types.StringType:
-			for i := 0; i < s.n; i++ {
-				if !nulls.Get(i) {
-					out[i] = types.Value{T: types.StringType, S: vec.strs[i]}
-				}
-			}
-		default:
-			typ := vec.typ
-			for i := 0; i < s.n; i++ {
-				if !nulls.Get(i) {
-					out[i] = types.Value{T: typ, I: vec.ints[i]}
-				}
-			}
-		}
-		v.Cols[c] = out
-	}
-	v.Sel = s.liveSel()
-	return v
 }

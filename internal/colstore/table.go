@@ -178,20 +178,6 @@ func (t *Table) Scan(fn func(slot int, row types.Row) bool) {
 	}
 }
 
-// Views snapshots every segment for a boxed batch scan, skipping segments
-// with no live rows. The returned views are immutable; concurrent DML after
-// the call is not visible through them.
-func (t *Table) Views() []View {
-	out := make([]View, 0, len(t.segs))
-	for _, seg := range t.segs {
-		if seg.n == 0 || seg.dead == seg.n {
-			continue
-		}
-		out = append(out, seg.snapshot())
-	}
-	return out
-}
-
 // TypedViews snapshots the segments for an unboxed batch scan, skipping
 // segments with no live rows and — when bounds are given — segments whose
 // zone maps prove no row can satisfy the scan predicate. pruned counts the
@@ -222,15 +208,12 @@ func (t *Table) TypedViews(bounds []ColBound) (views []TypedView, pruned int) {
 // Callers hold the owning table's write lock.
 func (t *Table) Maintain() int {
 	hollowed := 0
-	encode := segmentEncoding.Load()
 	for _, seg := range t.segs {
 		if !seg.hollow && seg.n > 0 && seg.dead == seg.n {
 			seg.hollowOut()
 			hollowed++
 		}
-		if encode {
-			seg.encode()
-		}
+		seg.encode()
 		seg.recomputeZones()
 	}
 	return hollowed
@@ -263,24 +246,6 @@ func (t *Table) HollowSegments() int {
 	}
 	return n
 }
-
-// --- segment encoding toggle ---
-
-// segmentEncoding gates ANALYZE/Maintain-time segment compression
-// (enabled by default; benchmarks and tests flip it to measure raw vs
-// encoded).
-var segmentEncoding atomic.Bool
-
-func init() { segmentEncoding.Store(true) }
-
-// SetSegmentEncoding enables or disables compression of full segments at
-// Maintain time. Returns the previous setting so callers can restore it.
-// Disabling does not decode already-encoded segments; re-enabling lets the
-// next ANALYZE pick them up again.
-func SetSegmentEncoding(on bool) bool { return segmentEncoding.Swap(on) }
-
-// SegmentEncoding reports whether Maintain-time compression is enabled.
-func SegmentEncoding() bool { return segmentEncoding.Load() }
 
 // --- auto-promotion heuristic ---
 

@@ -69,7 +69,7 @@ func (c *TypedCol) Value(i int) types.Value {
 // TypedView is the unboxed scan-facing snapshot of one segment: typed
 // column vectors the batch executor reads without materializing a single
 // types.Value, plus the selection of live slots (nil when every slot is
-// live). Like View it is immutable; mutations to the segment after the view
+// live). It is immutable; mutations to the segment after the view
 // was built are not visible through it.
 type TypedView struct {
 	Cols []TypedCol

@@ -23,7 +23,7 @@ func ltBound(col int, v types.Value) ColBound {
 	return ColBound{Col: col, Hi: v, HasHi: true, HiStrict: true}
 }
 
-func TestTypedViewsZonePruning(t *testing.T) {
+func TestTypedViewsZoneMapPruning(t *testing.T) {
 	tb := zoneTable(3 * SegRows)
 	views, pruned := tb.TypedViews(nil)
 	if len(views) != 3 || pruned != 0 {
@@ -127,6 +127,11 @@ func TestTypedViewSnapshotSemantics(t *testing.T) {
 	again, _ := tb.TypedViews(nil)
 	if &again[0].Cols[0].Ints[0] != &views[0].Cols[0].Ints[0] {
 		t.Fatal("full unchanged segment rebuilt its typed view")
+	}
+	// A delete invalidates the cache and drops out of the live selection.
+	tb.Delete(20)
+	if views, _ = tb.TypedViews(nil); views[0].Rows() != SegRows-1 {
+		t.Fatalf("view rows = %d after delete", views[0].Rows())
 	}
 }
 

@@ -43,8 +43,10 @@ type Table1 struct {
 //
 // The operation-counting convention (joins per extra quantifier, one per
 // existential, one selection per restricted single-input box) is
-// implemented by qgm.CountBoxOps; see EXPERIMENTS.md for the reconciliation
-// with the paper's hand-tallied per-row numbers.
+// implemented by qgm.CountBoxOps. It reproduces the paper's summary row
+// exactly (23 SQL operations, 16 replicated, 7 in the XNF derivation; see
+// the Table 1 note in benchmark/README.md) while distributing the same 23
+// slightly differently across the hand-tallied per-component rows.
 func AnalyzeTable1(cat *catalog.Catalog, xq *ast.XNFQuery, rwOpts rewrite.Options) (*Table1, error) {
 	full, err := Compile(cat, takeAll(xq), rwOpts)
 	if err != nil {

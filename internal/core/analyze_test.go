@@ -16,7 +16,7 @@ import (
 // XNF operations); the per-component XNF attribution must match the
 // paper's XNF Derivation column. The per-component SQL numbers follow our
 // uniform counting convention, which distributes the same 23 total
-// slightly differently across rows (see EXPERIMENTS.md).
+// slightly differently across rows (see AnalyzeTable1).
 func TestTable1DepsARC(t *testing.T) {
 	db := fig1DB(t)
 	stmt, err := parser.Parse(strings.TrimSuffix(strings.TrimSpace(

@@ -22,15 +22,6 @@ import (
 // semantics — unlike OptOptions, flipping them never invalidates a cached
 // plan, so they can change between executions without recompiles.
 type Options struct {
-	// WeightedEviction switches the plan cache from pure LRU to weighted
-	// eviction: the victim is the entry in the LRU tail window with the
-	// smallest compile-cost × hit-count weight, so an expensive or hot
-	// plan survives a sweep of cheap one-shot statements. Recency still
-	// matters — only the coldest EvictionWindow entries compete.
-	WeightedEviction bool
-	// EvictionWindow bounds how many LRU-tail entries compete when
-	// WeightedEviction is set. 0 means the default (8).
-	EvictionWindow int
 	// StatementTimeout bounds the wall time of a streaming statement
 	// execution (0 = none). It applies only when the caller's context
 	// carries no deadline of its own, so per-session SET overrides —
@@ -39,9 +30,6 @@ type Options struct {
 	// inside blocking operators (sort, hash build, aggregation).
 	StatementTimeout time.Duration
 }
-
-// defaultEvictionWindow is the LRU tail window weighted eviction examines.
-const defaultEvictionWindow = 8
 
 // Metrics counts compilation and cache activity. The prepared-statement
 // tests and the bench harness read them to verify that repeated executions
@@ -82,7 +70,7 @@ type Stmt struct {
 	mut        *compiledMutation // compiled UPDATE/DELETE predicate+assignments
 	insertRows [][]exec.Expr     // compiled INSERT VALUES expressions
 	cacheable  bool
-	cost       int64 // compile wall time in nanoseconds (eviction weight)
+	cost       int64 // compile wall time in nanoseconds (CacheStats observability)
 
 	// deps / depVers record the catalog names (tables and views) the plan
 	// was compiled against and the per-name versions observed then. When the
@@ -242,18 +230,41 @@ func mergeDep(deps []string, name string) []string {
 // one cache entry. The returned Stmt stays valid across DDL: every
 // Query/Exec revalidates it against the catalog version and transparently
 // re-prepares when stale.
+//
+// Compilation is single-flight: callers that miss on a key another caller
+// is already compiling wait for that result instead of compiling it again,
+// and count as cache hits. A failed compile is returned to its waiters; a
+// statement that is not cacheable (DDL, literal DML) is not shared — each
+// waiter then compiles its own.
 func (db *Database) Prepare(sql string) (*Stmt, error) {
 	norm, err := normalizeSQL(sql)
 	if err != nil {
 		db.stats.stmtErrors.Inc()
 		return nil, err
 	}
-	if st := db.plans.get(norm, db.cat.Version(), db.OptOptions, db.RewriteOptions); st != nil {
+	key := planKey{norm: norm, version: db.cat.Version(), optOpts: db.OptOptions, rwOpts: db.RewriteOptions}
+	st, fl, leader := db.plans.lookup(key)
+	if st == nil && !leader {
+		<-fl.done
+		if fl.err != nil {
+			db.stats.stmtErrors.Inc()
+			return nil, fl.err
+		}
+		if fl.st.cacheable {
+			st = fl.st
+			st.hits.Add(1)
+		}
+	}
+	if st != nil {
 		db.Metrics.CacheHits.Add(1)
 		return st, nil
 	}
 	db.Metrics.CacheMisses.Add(1)
-	st, err := db.prepareMiss(sql, norm)
+	if leader {
+		// Deferred so waiters are released even if the compile panics.
+		defer func() { db.plans.finish(key, fl, st, err) }()
+	}
+	st, err = db.prepareMiss(sql, norm)
 	if err != nil {
 		db.stats.stmtErrors.Inc()
 	}
@@ -349,7 +360,7 @@ func (db *Database) prepareMiss(sql, norm string) (*Stmt, error) {
 	}
 	if st.cacheable {
 		st.cost = int64(time.Since(start))
-		db.plans.put(st, db.Options)
+		db.plans.put(st)
 	}
 	return st, nil
 }
@@ -403,7 +414,25 @@ type planCache struct {
 	cap       int
 	lru       *list.List // of *Stmt, front = most recently used
 	byKey     map[string]*list.Element
-	evictions atomic.Int64 // entries evicted to make room
+	inflight  map[planKey]*flight // compilations in progress
+	evictions atomic.Int64        // entries evicted to make room
+}
+
+// planKey is everything a cached plan is validated against: the normalized
+// text, the catalog version and the option structs it was compiled under.
+type planKey struct {
+	norm    string
+	version uint64
+	optOpts opt.Options
+	rwOpts  rewrite.Options
+}
+
+// flight is one compilation in progress; st and err are set before done is
+// closed.
+type flight struct {
+	done chan struct{}
+	st   *Stmt
+	err  error
 }
 
 // metrics snapshots the cache size and cumulative eviction count.
@@ -415,18 +444,47 @@ func (pc *planCache) metrics() (size, evictions int64) {
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element)}
+	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element), inflight: make(map[planKey]*flight)}
 }
 
-func (pc *planCache) get(key string, version uint64, optOpts opt.Options, rwOpts rewrite.Options) *Stmt {
+// lookup returns the cached statement for k. On a miss it returns the
+// in-flight compilation of k instead: leader reports whether the caller
+// registered it — and must call finish — or found another caller's, whose
+// result it reads after fl.done closes.
+func (pc *planCache) lookup(k planKey) (st *Stmt, fl *flight, leader bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	if st := pc.get(k); st != nil {
+		return st, nil, false
+	}
+	if fl, ok := pc.inflight[k]; ok {
+		return nil, fl, false
+	}
+	fl = &flight{done: make(chan struct{})}
+	pc.inflight[k] = fl
+	return nil, fl, true
+}
+
+// finish publishes the leader's result to its waiters. prepareMiss has
+// already put a cacheable statement, so no caller can fall between the
+// cache and the in-flight table.
+func (pc *planCache) finish(k planKey, fl *flight, st *Stmt, err error) {
+	fl.st, fl.err = st, err
+	pc.mu.Lock()
+	delete(pc.inflight, k)
+	pc.mu.Unlock()
+	close(fl.done)
+}
+
+// get is the cache lookup proper; callers hold pc.mu.
+func (pc *planCache) get(k planKey) *Stmt {
+	key, version := k.norm, k.version
 	el, ok := pc.byKey[key]
 	if !ok {
 		return nil
 	}
 	st := el.Value.(*Stmt)
-	if st.optOpts != optOpts || st.rwOpts != rwOpts {
+	if st.optOpts != k.optOpts || st.rwOpts != k.rwOpts {
 		pc.lru.Remove(el)
 		delete(pc.byKey, key)
 		return nil
@@ -461,7 +519,7 @@ func (pc *planCache) stats() []CacheEntryStats {
 	return out
 }
 
-func (pc *planCache) put(st *Stmt, opts Options) {
+func (pc *planCache) put(st *Stmt) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.cap <= 0 {
@@ -475,48 +533,10 @@ func (pc *planCache) put(st *Stmt, opts Options) {
 	pc.byKey[st.norm] = pc.lru.PushFront(st)
 	for pc.lru.Len() > pc.cap {
 		victim := pc.lru.Back()
-		if opts.WeightedEviction {
-			victim = pc.weightedVictim(opts.EvictionWindow)
-		}
 		pc.lru.Remove(victim)
 		delete(pc.byKey, victim.Value.(*Stmt).norm)
 		pc.evictions.Add(1)
 	}
-}
-
-// weightedVictim picks the eviction victim among the window coldest
-// entries: the one whose compile cost × servings is smallest. Cheap
-// statements that never hit again go first; a plan that took long to
-// compile — or that the cache serves constantly — survives even from the
-// LRU tail. Recency stays in the policy through the window bound, and the
-// front (MRU) entry is never a candidate — it is the statement just
-// inserted, which must get a chance to accumulate hits before competing.
-func (pc *planCache) weightedVictim(window int) *list.Element {
-	if window <= 0 {
-		window = defaultEvictionWindow
-	}
-	front := pc.lru.Front()
-	victim := pc.lru.Back()
-	best := victim.Value.(*Stmt).weight()
-	el := victim.Prev()
-	for i := 1; i < window && el != nil && el != front; i++ {
-		if w := el.Value.(*Stmt).weight(); w < best {
-			victim, best = el, w
-		}
-		el = el.Prev()
-	}
-	return victim
-}
-
-// weight is the retention score of a cached statement: compile cost scaled
-// by how many executions the entry has served (+1 so a never-hit entry
-// still ranks by its cost).
-func (s *Stmt) weight() int64 {
-	cost := s.cost
-	if cost <= 0 {
-		cost = 1
-	}
-	return cost * (s.hits.Load() + 1)
 }
 
 func (pc *planCache) reset(capacity int) {
@@ -543,8 +563,7 @@ func (db *Database) PlanCacheLen() int { return db.plans.len() }
 
 // CacheEntryStats describes one cached plan for observability: the
 // normalized statement text, how many executions it has served, and what
-// it cost to compile. Hits and CostNs are exactly the inputs of the
-// weighted eviction policy (Options.WeightedEviction).
+// it cost to compile.
 type CacheEntryStats struct {
 	SQL    string
 	Hits   int64

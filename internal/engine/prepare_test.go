@@ -225,6 +225,35 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 // goroutines with a mix of prepared queries, ad-hoc queries, DML, DDL and
 // ANALYZE. Run with -race; correctness here is "no race, no error, right
 // row shape", not specific rows (DDL churn happens mid-flight).
+// TestPlanCacheSingleFlight pins the in-flight table behind Prepare: the
+// first caller to miss on a key leads, later callers get the leader's
+// flight and its result, and a failed compile is not cached — the next
+// caller leads again.
+func TestPlanCacheSingleFlight(t *testing.T) {
+	pc := newPlanCache(4)
+	k := planKey{norm: "SELECT 1"}
+	_, fl, leader := pc.lookup(k)
+	if !leader {
+		t.Fatal("first miss did not lead")
+	}
+	_, waiter, leader2 := pc.lookup(k)
+	if leader2 || waiter != fl {
+		t.Fatal("second miss on the same key did not join the leader's flight")
+	}
+	if _, _, otherLeads := pc.lookup(planKey{norm: "SELECT 1", version: 1}); !otherLeads {
+		t.Fatal("a different catalog version joined the flight")
+	}
+	boom := fmt.Errorf("boom")
+	pc.finish(k, fl, nil, boom)
+	<-waiter.done
+	if waiter.err != boom || waiter.st != nil {
+		t.Fatalf("waiter got (%v, %v), want the leader's error", waiter.st, waiter.err)
+	}
+	if _, fl3, leader3 := pc.lookup(k); !leader3 || fl3 == fl {
+		t.Fatal("a failed compile was kept: the next caller did not lead a fresh flight")
+	}
+}
+
 func TestPlanCacheConcurrency(t *testing.T) {
 	db := orgDB(t)
 	const goroutines = 8

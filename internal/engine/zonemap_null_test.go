@@ -43,7 +43,7 @@ func nullDB(t testing.TB) (*Database, int) {
 
 // TestZoneMapNullPruning: IS NULL prunes segments whose live null count is
 // zero, IS NOT NULL prunes segments that are entirely NULL — and every
-// query returns exactly the unpruned result.
+// query returns exactly the row executor's (unpruned) result.
 func TestZoneMapNullPruning(t *testing.T) {
 	db, segs := nullDB(t)
 	cases := []struct {
@@ -62,25 +62,7 @@ func TestZoneMapNullPruning(t *testing.T) {
 		{"SELECT COUNT(*) FROM NT WHERE k IS NOT NULL", 0},
 	}
 	for _, tc := range cases {
-		db.OptOptions.ZonePruning = false
-		want, err := db.Query(tc.q)
-		if err != nil {
-			t.Fatalf("%q (pruning off): %v", tc.q, err)
-		}
-		db.OptOptions.ZonePruning = true
-		got, err := db.Query(tc.q)
-		if err != nil {
-			t.Fatalf("%q (pruning on): %v", tc.q, err)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Errorf("%q: %d rows pruned vs %d unpruned", tc.q, len(got.Rows), len(want.Rows))
-			continue
-		}
-		for i := range want.Rows {
-			if got.Rows[i].String() != want.Rows[i].String() {
-				t.Errorf("%q row %d: pruned %s, unpruned %s", tc.q, i, got.Rows[i], want.Rows[i])
-			}
-		}
+		_, got := runBoth(t, db, tc.q)
 		if got.Counters.SegmentsPruned < tc.minPruned {
 			t.Errorf("%q: pruned %d segments, want >= %d", tc.q, got.Counters.SegmentsPruned, tc.minPruned)
 		}
@@ -92,7 +74,7 @@ func TestZoneMapNullPruning(t *testing.T) {
 
 // TestNullPruningAfterDML: the per-segment null counts must track deletes,
 // updates and revived slots exactly — after DML rewrites the NULL shape,
-// IS NULL pruning must still return the unpruned answer.
+// IS NULL pruning must still return the row executor's answer.
 func TestNullPruningAfterDML(t *testing.T) {
 	db, _ := nullDB(t)
 	// Delete all the NULL nv rows (segment 0), making nv IS NULL empty, and
@@ -117,24 +99,7 @@ func TestNullPruningAfterDML(t *testing.T) {
 		"SELECT COUNT(*) FROM NT WHERE nv IS NOT NULL",
 		"SELECT COUNT(*) FROM NT WHERE av IS NOT NULL",
 	} {
-		db.OptOptions.ZonePruning = false
-		want, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("%q (pruning off): %v", q, err)
-		}
-		db.OptOptions.ZonePruning = true
-		got, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("%q (pruning on): %v", q, err)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%q: %d rows pruned vs %d unpruned", q, len(got.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			if got.Rows[i].String() != want.Rows[i].String() {
-				t.Fatalf("%q row %d: pruned %s, unpruned %s", q, i, got.Rows[i], want.Rows[i])
-			}
-		}
+		runBoth(t, db, q)
 	}
 	// The single NULL planted in segment 2 must be found (not pruned away).
 	res, err := db.Query("SELECT k FROM NT WHERE nv IS NULL")

@@ -15,7 +15,8 @@ import (
 	"xnf/internal/storage"
 )
 
-// Options controls which optimizations the compiler may use.
+// Options controls which optimizations the compiler may use. Every field is
+// part of the plan-cache key (Options equality).
 type Options struct {
 	HashJoin       bool // use hash joins for equi-predicates
 	IndexNL        bool // use index nested-loop joins
@@ -23,27 +24,12 @@ type Options struct {
 	Spool          bool // materialize shared QGM boxes once
 	JoinOrdering   bool // greedy cost-based join ordering (else syntax order)
 	Vectorize      bool // lower pipeline prefixes to the vexec batch engine
-	// TypedKernels runs lowered pipelines directly on typed column-store
-	// segment arrays ([]int64/[]float64/[]string with null bitmaps as
-	// masks), boxing values only at projection/row boundaries; off keeps
-	// the boxed vectors — the measurement baseline. Part of the plan-cache
-	// key (Options equality), like every field here.
-	TypedKernels bool
-	// ZonePruning skips column-store segments whose per-segment min/max
-	// refutes a `col <op> constant` conjunct of the scan predicate.
-	ZonePruning  bool
-	ParallelScan bool // morsel-parallel scan→filter→aggregate pipelines
-	// ParallelWorkers bounds the morsel worker pool; 0 means GOMAXPROCS.
-	// Only consulted when ParallelScan is set.
-	ParallelWorkers int
-	// ParallelMinRows is the live row count below which a parallel scan
-	// folds sequentially; 0 means vexec.DefaultParallelMinRows.
-	ParallelMinRows int64
+	ParallelScan   bool // morsel-parallel aggregate scans, join builds and sorts
 }
 
 // DefaultOptions enables everything.
 func DefaultOptions() Options {
-	return Options{HashJoin: true, IndexNL: true, HashedSubplans: true, Spool: true, JoinOrdering: true, Vectorize: true, TypedKernels: true, ZonePruning: true, ParallelScan: true}
+	return Options{HashJoin: true, IndexNL: true, HashedSubplans: true, Spool: true, JoinOrdering: true, Vectorize: true, ParallelScan: true}
 }
 
 // NaiveOptions disables every optimization: syntax-order nested-loop joins

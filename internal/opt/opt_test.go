@@ -200,6 +200,40 @@ func TestSpoolForSharedBoxes(t *testing.T) {
 	}
 }
 
+// TestScansAlwaysCarryPruneTerms pins what replaced the pruning and kernel
+// knobs: under DefaultOptions every lowered scan with a `col <op> const`
+// conjunct carries zone-map prune terms, and there is exactly one scan
+// representation (no "boxed" variant).
+func TestScansAlwaysCarryPruneTerms(t *testing.T) {
+	s := testStore(t)
+	cases := []struct{ sql, want string }{
+		{"SELECT eno FROM EMP WHERE edno > 3", "BatchScan EMP"},
+		{"SELECT eno FROM EMP WHERE edno >= 2 AND edno < 4", "BatchScan EMP"},
+		{"SELECT eno FROM EMP WHERE 3 < edno", "BatchScan EMP"},
+		{"SELECT eno FROM EMP WHERE edno IS NULL", "BatchScan EMP"},
+		{"SELECT edno, COUNT(*) FROM EMP WHERE edno <= 2 GROUP BY edno", "BatchParallelAggScan EMP"},
+		{"SELECT e.eno FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'ARC'", "BatchScan DEPT"},
+	}
+	for _, c := range cases {
+		expl := compile(t, s, c.sql, DefaultOptions()).Explain(0)
+		found := false
+		for _, line := range strings.Split(expl, "\n") {
+			if strings.Contains(line, c.want) {
+				found = true
+				if !strings.Contains(line, " zonemap=(") {
+					t.Errorf("%q: %s carries no prune terms:\n%s", c.sql, c.want, expl)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%q did not lower to %s:\n%s", c.sql, c.want, expl)
+		}
+		if strings.Contains(expl, "boxed") {
+			t.Errorf("%q: plan mentions a boxed scan:\n%s", c.sql, expl)
+		}
+	}
+}
+
 func TestCompileRowExpr(t *testing.T) {
 	s := testStore(t)
 	rc, err := semantics.NewRowContext(s.Catalog(), "EMP", "e")

@@ -68,14 +68,10 @@ func lowerPlan(p exec.Plan, opts Options) (vexec.BatchPlan, bool) {
 		if !ok {
 			return nil, false
 		}
-		sb := &vexec.ScanBatch{Table: n.Table, Pred: pred, Cols: n.Cols, Boxed: !opts.TypedKernels}
-		if opts.ZonePruning {
-			// Zone-map pruning: conjuncts of the form `col <op> constant`
-			// are extracted once at compile time and resolved against the
-			// parameter frame at Open.
-			sb.Prune = vexec.ExtractPruneTerms(pred)
-		}
-		return sb, true
+		// Zone-map pruning: conjuncts of the form `col <op> constant` are
+		// extracted once at compile time and resolved against the
+		// parameter frame at Open.
+		return &vexec.ScanBatch{Table: n.Table, Pred: pred, Cols: n.Cols, Prune: vexec.ExtractPruneTerms(pred)}, true
 	case *exec.IndexLookupPlan:
 		for _, k := range n.Keys {
 			if exec.ExprHasSubplan(k) {
@@ -152,8 +148,6 @@ func lowerPlan(p exec.Plan, opts Options) (vexec.BatchPlan, bool) {
 			RightKeys: rk,
 			Residual:  res,
 			Parallel:  opts.ParallelScan,
-			Workers:   opts.ParallelWorkers,
-			MinRows:   opts.ParallelMinRows,
 		}, true
 	case *exec.SortPlan:
 		// Sort only lowers when its input lowers natively: a bridged input
@@ -170,8 +164,6 @@ func lowerPlan(p exec.Plan, opts Options) (vexec.BatchPlan, bool) {
 		return &vexec.BatchSort{
 			Child: child, Keys: keys, Desc: n.Desc,
 			Parallel: opts.ParallelScan,
-			Workers:  opts.ParallelWorkers,
-			MinRows:  opts.ParallelMinRows,
 		}, true
 	case *exec.DistinctPlan:
 		child, ok := lowerPlan(n.Child, opts)
@@ -217,14 +209,9 @@ func lowerPlan(p exec.Plan, opts Options) (vexec.BatchPlan, bool) {
 		if opts.ParallelScan {
 			// A scan→filter→aggregate pipeline over a base table splits
 			// into morsels; the operator still folds sequentially below
-			// vexec.ParallelMinRows, so small tables pay no pool overhead.
-			if par, ok := vexec.ParallelizeAgg(agg, opts.ParallelWorkers, opts.ParallelMinRows); ok {
-				if ps, isPar := par.(*vexec.ParallelAggScan); isPar && opts.ZonePruning {
-					// The fused predicate folds downstream filters into the
-					// scan, so re-extract — it can prune more than the
-					// scan's own conjuncts alone.
-					ps.Prune = vexec.ExtractPruneTerms(ps.Pred)
-				}
+			// vexec.DefaultParallelMinRows, so small tables pay no pool
+			// overhead.
+			if par, ok := vexec.ParallelizeAgg(agg); ok {
 				return par, true
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xnf/internal/catalog"
+	"xnf/internal/colstore"
 	"xnf/internal/types"
 )
 
@@ -298,6 +299,53 @@ func TestAnalyze(t *testing.T) {
 	}
 	if def.Stats.RowCount != 20 {
 		t.Errorf("RowCount stat = %d", def.Stats.RowCount)
+	}
+
+	// The same rows — NULLs, duplicates, deleted slots, more than one full
+	// segment so the column table dictionary-encodes NAME and packs the
+	// ints at its first ANALYZE — must yield identical distinct counts from
+	// a row heap and a column heap, over raw segments (first ANALYZE) and
+	// over encoded ones (second ANALYZE).
+	rowS, colS := testStore(t), testStore(t)
+	rowTD, _ := rowS.Table("EMP")
+	colTD, _ := colS.Table("EMP")
+	colTD.SetStorage(catalog.ColumnStore)
+	for _, td := range []*TableData{rowTD, colTD} {
+		for i := int64(0); i < colstore.SegRows+500; i++ {
+			row := emp(i, fmt.Sprintf("n%d", i%17), i%29, float64(i%101)/3)
+			if i%11 == 0 {
+				row[1] = types.Null
+			}
+			if i%7 == 0 {
+				row[2] = types.Null
+			}
+			rid, err := td.Insert(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%13 == 0 {
+				if _, err := td.Delete(rid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for pass := 1; pass <= 2; pass++ {
+		if err := rowS.Analyze("EMP"); err != nil {
+			t.Fatal(err)
+		}
+		if err := colS.Analyze("EMP"); err != nil {
+			t.Fatal(err)
+		}
+		if d, p := colTD.EncodedColumns(); d == 0 || p == 0 {
+			t.Fatalf("ANALYZE %d: column table not encoded (dict=%d pack=%d)", pass, d, p)
+		}
+		for _, col := range rowTD.Def().Columns {
+			r, c := rowTD.Def().Cardinality(col.Name), colTD.Def().Cardinality(col.Name)
+			if r != c {
+				t.Errorf("ANALYZE %d: %s cardinality = %d on row storage, %d on column storage", pass, col.Name, r, c)
+			}
+		}
 	}
 }
 

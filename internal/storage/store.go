@@ -58,10 +58,14 @@ func (s *Store) ddlGate() func() {
 // CreateTable registers the definition in the catalog and allocates the heap.
 func (s *Store) CreateTable(def *catalog.Table) error {
 	defer s.ddlGate()()
+	// Hold s.mu across the catalog registration: whoever sees the table in
+	// the catalog and then asks the store for it (a concurrent ANALYZE)
+	// waits here until the heap is in place.
+	s.mu.Lock()
 	if err := s.cat.CreateTable(def); err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
 	td := newTableData(def)
 	// A primary key implies a unique hash index for constraint checking
 	// and optimizer use.
@@ -200,17 +204,17 @@ func (s *Store) Analyze(name string) error {
 	for i := range seen {
 		seen[i] = make(map[uint64]struct{})
 	}
-	if views, ok := td.ColumnViews(); ok {
+	if views, _, ok := td.TypedColumnViews(nil); ok {
 		for _, v := range views {
 			for c := range seen {
-				col := v.Cols[c]
+				col := &v.Cols[c]
 				if v.Sel != nil {
 					for _, i := range v.Sel {
-						seen[c][col[i].Hash()] = struct{}{}
+						seen[c][col.Value(i).Hash()] = struct{}{}
 					}
 				} else {
 					for i := 0; i < v.N; i++ {
-						seen[c][col[i].Hash()] = struct{}{}
+						seen[c][col.Value(i).Hash()] = struct{}{}
 					}
 				}
 			}

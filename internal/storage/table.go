@@ -75,24 +75,12 @@ func (t *TableData) HollowSegments() int {
 	return 0
 }
 
-// ColumnViews snapshots the column-store segments for a zero-copy batch
-// scan; ok is false when the table is row-major (callers then fall back to
-// Snapshot). The views are immutable — DML after the call is not visible
-// through them, exactly like Snapshot's row pointers.
-func (t *TableData) ColumnViews() ([]colstore.View, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ch, ok := t.heap.(*colHeap)
-	if !ok {
-		return nil, false
-	}
-	return ch.t.Views(), true
-}
-
 // TypedColumnViews snapshots the column-store segments as typed (unboxed)
 // views for the typed batch kernels, skipping segments whose zone maps
 // refute one of the bounds; pruned counts the skipped segments. ok is false
-// when the table is row-major. Snapshot semantics match ColumnViews.
+// when the table is row-major (callers then fall back to Snapshot). The
+// views are immutable — DML after the call is not visible through them,
+// exactly like Snapshot's row pointers.
 func (t *TableData) TypedColumnViews(bounds []colstore.ColBound) (views []colstore.TypedView, pruned int, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -281,7 +269,7 @@ func (t *TableData) Scan(fn func(rid RID, row types.Row) bool) {
 // Snapshot returns all live rows as a slice; operators that need stable
 // input (e.g. while the same table is being updated) use it. Column-major
 // tables materialize rows here — the batch engine avoids this path via
-// ColumnViews.
+// TypedColumnViews.
 func (t *TableData) Snapshot() []types.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -34,8 +34,8 @@
 // goroutine rather than queueing, so the process-wide extra-goroutine
 // count stays bounded by the pool size no matter how many statements run
 // concurrently, and every statement always makes progress. Tables below
-// opt.Options.ParallelMinRows never request workers at all — for small
-// inputs the handoff costs more than the scan.
+// DefaultParallelMinRows never request workers at all — for small inputs
+// the handoff costs more than the scan.
 //
 // Column-store scans feed batches in typed form: a column is an []int64,
 // []float64 or []string payload plus a null bitmap (TypedVec), and the
@@ -132,8 +132,8 @@ type Batch struct {
 	N     int
 
 	// own is the pool-acquired boxed column storage, reused across
-	// NextBatch calls and returned to the pool by release. Cols entries
-	// either alias own entries or an immutable segment view.
+	// NextBatch calls and returned to the pool by release; non-nil Cols
+	// entries alias own entries.
 	own []Vector
 }
 
@@ -229,20 +229,6 @@ func (b *Batch) fromRows(rows []types.Row, width int) {
 	}
 }
 
-// fromView aliases a boxed colstore segment view: the batch's columns
-// become the view's vectors (zero copy) and the view's live selection
-// carries over. The view is immutable, so the batch must never write
-// through Cols.
-func (b *Batch) fromView(v colstore.View) {
-	b.Cols = b.Cols[:0]
-	for _, col := range v.Cols {
-		b.Cols = append(b.Cols, Vector(col))
-	}
-	b.Typed = b.Typed[:0]
-	b.N = v.N
-	b.Sel = v.Sel
-}
-
 // fromTypedView aliases a typed colstore segment view: the batch's columns
 // become the view's typed vectors (zero copy, nothing boxed) and the
 // view's live selection carries over. The view is immutable.
@@ -275,7 +261,7 @@ func (b *Batch) setTyped(c int, tv *TypedVec) {
 }
 
 // release returns the batch's pooled column storage; operators call it from
-// Close. The batch must be re-filled (resize/fromRows/fromView) before its
+// Close. The batch must be re-filled (resize/fromRows/fromTypedView) before its
 // next use.
 func (b *Batch) release() {
 	for c := range b.own {

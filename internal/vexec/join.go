@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -94,18 +93,16 @@ func (kc *keyCols) valueAt(k, i int) types.Value {
 // the output order is probe order × bucket insertion (build) order.
 //
 // When Parallel is set and the build side is a base-table scan at least
-// MinRows rows large, the build is morsel-parallel: workers admitted by
-// the shared pool hash disjoint segment ranges and the per-morsel entry
-// runs are merged in morsel order, so the bucket layout — and therefore
-// the output order — is identical to a sequential build.
+// DefaultParallelMinRows rows large, the build is morsel-parallel: workers
+// admitted by the shared pool hash disjoint segment ranges and the
+// per-morsel entry runs are merged in morsel order, so the bucket layout —
+// and therefore the output order — is identical to a sequential build.
 type BatchHashJoin struct {
 	Left, Right BatchPlan
 	LeftKeys    []VExpr // over left (probe) rows
 	RightKeys   []VExpr // over right (build) rows
 	Residual    VExpr   // over concatenated rows; nil = none
 	Parallel    bool    // morsel-parallel build when the build side is a table scan
-	Workers     int     // desired worker count; 0 = GOMAXPROCS
-	MinRows     int64   // sequential build below this; 0 = DefaultParallelMinRows
 
 	table  map[uint64][]types.Row // entry = key values ++ build row
 	mem    memTracker             // build-side slab reservations
@@ -253,26 +250,20 @@ type buildEnt struct {
 
 // parallelBuild splits a build-side table scan into morsels and hashes
 // them on pool-admitted workers. ok is false when the build should fall
-// back to the sequential batch drain: the table is below MinRows, there is
-// only one morsel, or the pool is saturated.
+// back to the sequential batch drain: the table is below
+// DefaultParallelMinRows, there is only one morsel, or the pool is
+// saturated.
 func (j *BatchHashJoin) parallelBuild(ctx *exec.Ctx, params types.Row, scan *ScanBatch) (bool, error) {
 	td, err := ctx.Store.Table(scan.Table)
 	if err != nil {
 		return false, err
 	}
-	morsels, total, scanned, pruned := tableMorsels(td, scan.Boxed, ResolveBounds(scan.Prune, params))
-	minRows := j.MinRows
-	if minRows <= 0 {
-		minRows = DefaultParallelMinRows
+	morsels, total, scanned, pruned := tableMorsels(td, ResolveBounds(scan.Prune, params))
+	if total < DefaultParallelMinRows {
+		return false, nil
 	}
-	workers := j.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	if int64(total) < minRows || workers <= 1 {
+	workers := min(Shared.Stats().Workers, len(morsels))
+	if workers <= 1 {
 		return false, nil
 	}
 	// Charge the whole build estimate up front: parallel workers must
@@ -385,11 +376,7 @@ func (j *BatchHashJoin) buildMorsel(e *env, kc *keyCols, batch *Batch, selBuf *[
 		}
 		return ents, nil
 	}
-	if m.bview != nil {
-		batch.fromView(*m.bview)
-	} else {
-		batch.fromTypedView(m.view)
-	}
+	batch.fromTypedView(m.view)
 	return ents, hash()
 }
 
@@ -534,6 +521,6 @@ func (j *BatchHashJoin) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
 	return &BatchHashJoin{
 		Left: j.Left.Clone(cloneRow), Right: j.Right.Clone(cloneRow),
 		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
-		Parallel: j.Parallel, Workers: j.Workers, MinRows: j.MinRows,
+		Parallel: j.Parallel,
 	}
 }

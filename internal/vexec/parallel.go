@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -13,55 +12,36 @@ import (
 	"xnf/internal/types"
 )
 
-// DefaultParallelMinRows is the live row count below which ParallelAggScan
-// folds sequentially when no explicit threshold is configured: for small
-// tables the worker handoff costs more than the scan. Override per
-// database through opt.Options.ParallelMinRows.
+// DefaultParallelMinRows is the live row count below which the parallel
+// operators (aggregate scan, hash-join build, sort) run sequentially: for
+// small inputs the worker handoff costs more than the work.
 const DefaultParallelMinRows = 16384
 
 // rowMorselRows is the morsel size for row-major tables (column-major
 // tables use one segment per morsel).
 const rowMorselRows = 2 * colstore.SegRows
 
-// morsel is one unit of parallel scan work: a typed colstore segment view,
-// a boxed segment view (baseline mode), or a slice of a row snapshot.
+// morsel is one unit of parallel scan work: a typed colstore segment view
+// or a slice of a row snapshot.
 type morsel struct {
-	view  *colstore.TypedView
-	bview *colstore.View
-	rows  []types.Row
+	view *colstore.TypedView
+	rows []types.Row
 }
 
 func (m morsel) liveRows() int {
-	switch {
-	case m.rows != nil:
+	if m.rows != nil {
 		return len(m.rows)
-	case m.bview != nil:
-		return m.bview.Rows()
-	default:
-		return m.view.Rows()
 	}
+	return m.view.Rows()
 }
 
 // tableMorsels splits a stored table into parallel scan units — one
-// colstore segment per morsel (typed by default, boxed for the
-// measurement baseline), or fixed-size row ranges for row-major tables —
-// and reports the total live row count plus the number of column-store
-// segments actually read and the number the zone-map bounds pruned.
-// Shared by ParallelAggScan and the morsel-parallel hash-join build.
-func tableMorsels(td *storage.TableData, boxed bool, bounds []colstore.ColBound) (morsels []morsel, total, scanned, pruned int) {
-	colMode := false
-	if boxed {
-		if views, ok := td.ColumnViews(); ok {
-			colMode = true
-			scanned = len(views)
-			for i := range views {
-				if views[i].Rows() > 0 {
-					morsels = append(morsels, morsel{bview: &views[i]})
-				}
-			}
-		}
-	} else if views, p, ok := td.TypedColumnViews(bounds); ok {
-		colMode = true
+// colstore segment per morsel, or fixed-size row ranges for row-major
+// tables — and reports the total live row count plus the number of
+// column-store segments actually read and the number the zone-map bounds
+// pruned. Shared by ParallelAggScan and the morsel-parallel hash-join build.
+func tableMorsels(td *storage.TableData, bounds []colstore.ColBound) (morsels []morsel, total, scanned, pruned int) {
+	if views, p, ok := td.TypedColumnViews(bounds); ok {
 		scanned = len(views)
 		pruned = p
 		for i := range views {
@@ -69,8 +49,7 @@ func tableMorsels(td *storage.TableData, boxed bool, bounds []colstore.ColBound)
 				morsels = append(morsels, morsel{view: &views[i]})
 			}
 		}
-	}
-	if !colMode {
+	} else {
 		rows := td.Snapshot()
 		for lo := 0; lo < len(rows); lo += rowMorselRows {
 			hi := lo + rowMorselRows
@@ -100,21 +79,18 @@ func tableMorsels(td *storage.TableData, boxed bool, bounds []colstore.ColBound)
 // executions with the same worker count return bit-identical results,
 // including floating-point aggregates. Workers are admitted by the shared
 // process-wide pool (Shared), so the effective count can shrink under
-// concurrent load — which, like changing Workers, may move a float SUM by
+// concurrent load — which, like resizing the pool, may move a float SUM by
 // an ulp (parallel FP reduction reorders additions by construction).
 // Isolated executions always receive their full request and stay
 // bit-identical run to run.
 type ParallelAggScan struct {
-	Table   string
-	Pred    VExpr // nil = no filter
-	Groups  []VExpr
-	Aggs    []AggSpec
-	Cols    []exec.Column // aggregate output columns
-	Width   int           // scanned table width (Pred/Groups/Aggs slot space)
-	Workers int           // worker pool bound; 0 = GOMAXPROCS
-	MinRows int64         // sequential below this; 0 = DefaultParallelMinRows
-	Boxed   bool          // boxed segment views (measurement baseline)
-	Prune   []PruneTerm   // zone-map pruning conjuncts over the fused Pred
+	Table  string
+	Pred   VExpr // nil = no filter
+	Groups []VExpr
+	Aggs   []AggSpec
+	Cols   []exec.Column // aggregate output columns
+	Width  int           // scanned table width (Pred/Groups/Aggs slot space)
+	Prune  []PruneTerm   // zone-map pruning conjuncts over the fused Pred
 
 	out []types.Row
 	mem memTracker
@@ -136,31 +112,22 @@ func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) error {
 	if err != nil {
 		return err
 	}
-	morsels, total, scanned, pruned := tableMorsels(td, p.Boxed, ResolveBounds(p.Prune, params))
+	morsels, total, scanned, pruned := tableMorsels(td, ResolveBounds(p.Prune, params))
 	add(&ctx.Counters.SegmentsScanned, int64(scanned))
 	add(&ctx.Counters.SegmentsPruned, int64(pruned))
 	add(&ctx.Counters.RowsScanned, int64(total))
 
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-
-	minRows := p.MinRows
-	if minRows <= 0 {
-		minRows = DefaultParallelMinRows
-	}
 	// Admission: extra workers come from the process-wide pool, so total
 	// fan-out stays bounded no matter how many statements run at once. A
-	// zero grant (pool saturated) degrades to the sequential fold.
+	// zero grant (pool saturated) degrades to the sequential fold. Small
+	// tables never look at the pool.
 	var grant Grant
-	if int64(total) >= minRows && workers > 1 {
-		grant = Shared.Acquire(workers - 1)
-		if grant.N() == 0 {
-			add(&ctx.Counters.PoolFallbacks, 1)
+	if total >= DefaultParallelMinRows {
+		if workers := min(Shared.Stats().Workers, len(morsels)); workers > 1 {
+			grant = Shared.Acquire(workers - 1)
+			if grant.N() == 0 {
+				add(&ctx.Counters.PoolFallbacks, 1)
+			}
 		}
 	}
 	if grant.N() == 0 {
@@ -180,7 +147,7 @@ func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) error {
 		return p.mem.reserve(ctx, rowsBytes(len(p.out), len(p.Cols)))
 	}
 	defer grant.Release()
-	workers = grant.N() + 1
+	workers := grant.N() + 1
 	add(&ctx.Counters.PoolWorkers, int64(grant.N()))
 
 	tables := make([]*groupTable, workers)
@@ -268,11 +235,7 @@ func (w *aggWorker) foldMorsel(mi int, m morsel) error {
 		}
 		return nil
 	}
-	if m.bview != nil {
-		w.batch.fromView(*m.bview)
-	} else {
-		w.batch.fromTypedView(m.view)
-	}
+	w.batch.fromTypedView(m.view)
 	return w.foldBatch()
 }
 
@@ -385,20 +348,13 @@ func (p *ParallelAggScan) Explain(indent int) string {
 	if len(p.Prune) > 0 {
 		f += " zonemap=(" + PruneTermsString(p.Prune) + ")"
 	}
-	if p.Boxed {
-		f += " boxed"
-	}
-	w := "GOMAXPROCS"
-	if p.Workers > 0 {
-		w = fmt.Sprintf("%d", p.Workers)
-	}
-	return fmt.Sprintf("%sBatchParallelAggScan %s workers=%s groups=(%s) aggs=(%s)%s\n",
-		pad(indent), p.Table, w, strings.Join(gs, ", "), strings.Join(as, ", "), f)
+	return fmt.Sprintf("%sBatchParallelAggScan %s groups=(%s) aggs=(%s)%s\n",
+		pad(indent), p.Table, strings.Join(gs, ", "), strings.Join(as, ", "), f)
 }
 
 // Clone implements BatchPlan.
 func (p *ParallelAggScan) Clone(func(exec.Plan) exec.Plan) BatchPlan {
-	return &ParallelAggScan{Table: p.Table, Pred: p.Pred, Groups: p.Groups, Aggs: p.Aggs, Cols: p.Cols, Width: p.Width, Workers: p.Workers, MinRows: p.MinRows, Boxed: p.Boxed, Prune: p.Prune}
+	return &ParallelAggScan{Table: p.Table, Pred: p.Pred, Groups: p.Groups, Aggs: p.Aggs, Cols: p.Cols, Width: p.Width, Prune: p.Prune}
 }
 
 // andSeq conjoins two optional predicates with filter-chain semantics: the
@@ -579,9 +535,10 @@ func composeV(x VExpr, inputs []VExpr) (VExpr, bool) {
 // columns (projection expressions carry no state and no subplans, so
 // substitution is sound). ok is false for any other shape — index lookups
 // are small by design, limits cut the stream, and row bridges have
-// iterator state that cannot be split. minRows ≤ 0 means
-// DefaultParallelMinRows.
-func ParallelizeAgg(a *HashAggBatch, workers int, minRows int64) (BatchPlan, bool) {
+// iterator state that cannot be split. Prune terms are extracted from the
+// fused predicate, which folds downstream filters into the scan and so can
+// prune more than the scan's own conjuncts alone.
+func ParallelizeAgg(a *HashAggBatch) (BatchPlan, bool) {
 	// Walk down to the scan, recording the operator chain.
 	var chain []BatchPlan
 	cur := a.Child
@@ -649,5 +606,5 @@ walk:
 		}
 		aggs[i] = spec
 	}
-	return &ParallelAggScan{Table: scan.Table, Pred: pred, Groups: groups, Aggs: aggs, Cols: a.Cols, Width: len(scan.Cols), Workers: workers, MinRows: minRows, Boxed: scan.Boxed}, true
+	return &ParallelAggScan{Table: scan.Table, Pred: pred, Groups: groups, Aggs: aggs, Cols: a.Cols, Width: len(scan.Cols), Prune: ExtractPruneTerms(pred)}, true
 }

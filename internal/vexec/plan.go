@@ -70,50 +70,33 @@ func (c *chunker) close() {
 // colChunker streams colstore segment views as filtered batches: each view
 // becomes one batch whose columns alias the view directly (no per-batch
 // copy, no transpose), with the segment's live selection as the base
-// selection vector. The default feed is typed views — immutable
-// []int64/[]float64/[]string snapshots (copied once per segment version by
-// the column store, cached for full segments) that the typed kernels read
-// without ever boxing a value; bviews is the boxed baseline used when
-// typed kernels are disabled.
+// selection vector. The views are immutable []int64/[]float64/[]string
+// snapshots (copied once per segment version by the column store, cached
+// for full segments) that the typed kernels read without ever boxing a
+// value.
 type colChunker struct {
 	views  []colstore.TypedView
-	bviews []colstore.View
 	pos    int
 	env    env
 	batch  Batch
 	selBuf []int
 }
 
-func (c *colChunker) open(views []colstore.TypedView, bviews []colstore.View, params types.Row) {
+func (c *colChunker) open(views []colstore.TypedView, params types.Row) {
 	c.views = views
-	c.bviews = bviews
 	c.pos = 0
 	c.env.open(params)
 }
 
 func (c *colChunker) next(pred VExpr, scanned *int64) (*Batch, error) {
-	for {
-		var live int
-		if c.bviews != nil {
-			if c.pos >= len(c.bviews) {
-				return nil, nil
-			}
-			v := c.bviews[c.pos]
-			c.pos++
-			c.batch.fromView(v)
-			live = v.Rows()
-		} else {
-			if c.pos >= len(c.views) {
-				return nil, nil
-			}
-			v := &c.views[c.pos]
-			c.pos++
-			c.batch.fromTypedView(v)
-			live = v.Rows()
-		}
+	for c.pos < len(c.views) {
+		v := &c.views[c.pos]
+		c.pos++
+		live := v.Rows()
 		if live == 0 {
 			continue
 		}
+		c.batch.fromTypedView(v)
 		if scanned != nil {
 			add(scanned, int64(live))
 		}
@@ -127,12 +110,12 @@ func (c *colChunker) next(pred VExpr, scanned *int64) (*Batch, error) {
 		}
 		return &c.batch, nil
 	}
+	return nil, nil
 }
 
 // close returns the chunker's pooled storage.
 func (c *colChunker) close() {
 	c.views = nil
-	c.bviews = nil
 	c.batch.release()
 	selPool.put(c.selBuf)
 	c.selBuf = nil
@@ -148,14 +131,11 @@ func (c *colChunker) close() {
 // boxing; the choice is made per execution at Open, so a cached plan
 // follows the table's current representation. Prune carries the zone-map
 // conjuncts the optimizer extracted from Pred — segments whose min/max
-// refute one of them are skipped before they are even decoded. Boxed is the
-// measurement baseline: segment views are materialized as boxed vectors and
-// the typed kernels stay out of play.
+// refute one of them are skipped before they are even decoded.
 type ScanBatch struct {
 	Table string
 	Pred  VExpr // nil = no filter
 	Cols  []exec.Column
-	Boxed bool
 	Prune []PruneTerm
 
 	ch      chunker
@@ -171,18 +151,11 @@ func (s *ScanBatch) Open(ctx *exec.Ctx, params types.Row) error {
 	}
 	s.cc.env.ctr = &ctx.Counters
 	s.ch.env.ctr = &ctx.Counters
-	if s.Boxed {
-		if views, ok := td.ColumnViews(); ok {
-			s.colMode = true
-			add(&ctx.Counters.SegmentsScanned, int64(len(views)))
-			s.cc.open(nil, views, params)
-			return nil
-		}
-	} else if views, pruned, ok := td.TypedColumnViews(ResolveBounds(s.Prune, params)); ok {
+	if views, pruned, ok := td.TypedColumnViews(ResolveBounds(s.Prune, params)); ok {
 		s.colMode = true
 		add(&ctx.Counters.SegmentsScanned, int64(len(views)))
 		add(&ctx.Counters.SegmentsPruned, int64(pruned))
-		s.cc.open(views, nil, params)
+		s.cc.open(views, params)
 		return nil
 	}
 	s.colMode = false
@@ -217,16 +190,13 @@ func (s *ScanBatch) Explain(indent int) string {
 	if len(s.Prune) > 0 {
 		f += " zonemap=(" + PruneTermsString(s.Prune) + ")"
 	}
-	if s.Boxed {
-		f += " boxed"
-	}
 	return fmt.Sprintf("%sBatchScan %s%s\n", pad(indent), s.Table, f)
 }
 
 // Clone implements BatchPlan. Vectorized expressions are stateless and
 // shared; only iterator state is per-instance.
 func (s *ScanBatch) Clone(func(exec.Plan) exec.Plan) BatchPlan {
-	return &ScanBatch{Table: s.Table, Pred: s.Pred, Cols: s.Cols, Boxed: s.Boxed, Prune: s.Prune}
+	return &ScanBatch{Table: s.Table, Pred: s.Pred, Cols: s.Cols, Prune: s.Prune}
 }
 
 // --- IndexLookupBatch ---

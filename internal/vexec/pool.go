@@ -31,6 +31,8 @@ type Pool struct {
 
 // Shared is the process-wide pool every parallel operator draws from,
 // sized to GOMAXPROCS extra workers by default; resize with SetWorkers.
+// Its size is also the worker count an operator aims for (itself plus
+// size-1 extra), so the pool is the one bound on parallelism.
 var Shared = NewPool(0)
 
 // NewPool returns a pool bounded to n extra workers; n <= 0 means

@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -18,10 +17,10 @@ import (
 // cross-type numeric comparison) and stability match exec.SortPlan
 // exactly.
 //
-// Inputs of at least MinRows rows sort in parallel when Parallel is set:
-// pool-admitted workers stable-sort contiguous index chunks and a stable
-// k-way merge (ties resolve to the earlier chunk) recombines them, which
-// reproduces the sequential stable sort bit for bit.
+// Inputs of at least DefaultParallelMinRows rows sort in parallel when
+// Parallel is set: pool-admitted workers stable-sort contiguous index
+// chunks and a stable k-way merge (ties resolve to the earlier chunk)
+// recombines them, which reproduces the sequential stable sort bit for bit.
 //
 // Memory governance: rows and key tuples are charged against the
 // statement's accountant as they accumulate. The rows themselves are
@@ -37,8 +36,6 @@ type BatchSort struct {
 	Keys     []VExpr
 	Desc     []bool
 	Parallel bool
-	Workers  int   // desired worker count; 0 = GOMAXPROCS
-	MinRows  int64 // sequential below this; 0 = DefaultParallelMinRows
 
 	env   env
 	keys  keyCols
@@ -258,19 +255,13 @@ func (s *BatchSort) sortRows(ctx *exec.Ctx) {
 		perm[i] = i
 	}
 
-	minRows := s.MinRows
-	if minRows <= 0 {
-		minRows = DefaultParallelMinRows
-	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var grant Grant
-	if s.Parallel && int64(n) >= minRows && workers > 1 {
-		grant = Shared.Acquire(workers - 1)
-		if grant.N() == 0 {
-			add(&ctx.Counters.PoolFallbacks, 1)
+	if s.Parallel && n >= DefaultParallelMinRows {
+		if workers := Shared.Stats().Workers; workers > 1 {
+			grant = Shared.Acquire(workers - 1)
+			if grant.N() == 0 {
+				add(&ctx.Counters.PoolFallbacks, 1)
+			}
 		}
 	}
 	if grant.N() == 0 {
@@ -380,7 +371,7 @@ func (s *BatchSort) Explain(indent int) string {
 // Clone implements BatchPlan.
 func (s *BatchSort) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
 	return &BatchSort{Child: s.Child.Clone(cloneRow), Keys: s.Keys, Desc: s.Desc,
-		Parallel: s.Parallel, Workers: s.Workers, MinRows: s.MinRows}
+		Parallel: s.Parallel}
 }
 
 // batchRowHash combines the column hashes of physical row i without boxing
