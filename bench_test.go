@@ -1,6 +1,6 @@
-// Benchmarks regenerating every quantitative result of the paper. Each
-// benchmark corresponds to one entry of the per-experiment index in
-// DESIGN.md; cmd/xnfbench prints the same numbers as formatted tables.
+// Benchmarks regenerating every quantitative result of the paper, one per
+// experiment listed below; cmd/xnfbench prints the same numbers as
+// formatted tables. Performance is judged by benchmark/, not here.
 //
 //	BenchmarkTable1…           — Table 1 (derivation-cost comparison)
 //	BenchmarkFig3…             — Fig. 3 / [39]: subquery→join rewrite
@@ -238,7 +238,7 @@ func BenchmarkShipping(b *testing.B) {
 	}
 }
 
-// --- Ablations: the design choices DESIGN.md calls out ---
+// --- Ablations: the paper's own design choices, each switched off ---
 
 // BenchmarkAblationCSE isolates the common-subexpression sharing (spool)
 // win during CO extraction.
@@ -303,37 +303,6 @@ func BenchmarkAblationJoinStrategies(b *testing.B) {
 		})
 	}
 	db.OptOptions = opt.DefaultOptions()
-}
-
-// BenchmarkAblationParallelExtraction measures the Sect. 6 outlook
-// extension: one goroutine per CO output, shared fragments spooled once.
-func BenchmarkAblationParallelExtraction(b *testing.B) {
-	db := engine.Open()
-	if err := workload.LoadOrg(db, workload.OrgParams{
-		Depts: 60, EmpsPerDept: 20, ProjsPerDept: 5,
-		Skills: 200, SkillsPerEmp: 3, SkillsPerProj: 2,
-		ArcFraction: 0.4, Seed: 8,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	compiled, err := bench.CompileDepsARC(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := compiled.Execute(db.Store(), opt.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := compiled.ExecuteParallel(db.Store(), opt.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkCacheBuild measures workspace construction (swizzling) alone.

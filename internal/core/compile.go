@@ -1,6 +1,6 @@
 // Package core implements the paper's primary contribution: the XNF
 // semantic rewrite (Sect. 4.2) that compiles a composite-object query down
-// to plain NF QGM, plus the CO materializer and the derivation-cost
+// to plain NF QGM, plus the CO executor and the derivation-cost
 // analyzer behind Table 1.
 //
 // The rewrite removes the XNF operator box in two steps, exactly as the
@@ -23,8 +23,15 @@
 //     the connections locally.
 //
 // Cyclic schema graphs (recursive COs, Sect. 2) cannot be compiled to a
-// finite join DAG; Compile marks them and Execute runs a semi-naive
-// fixpoint over the component and connection definitions instead.
+// finite join DAG; Compile marks them, and opening one runs a semi-naive
+// fixpoint over the component and connection definitions whose result
+// feeds the same stream.
+//
+// A CO has one execution path: compile (CompileView), plan templates
+// (PlanTemplates, cached by the engine per catalog version), Open over one
+// execution context, then either stream the tagged tuples (COStream.Next,
+// what the wire server ships) or drain them into a COResult
+// (COStream.Drain, what Execute and in-process extraction return).
 package core
 
 import (

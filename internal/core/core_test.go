@@ -10,6 +10,7 @@ import (
 
 	"xnf/internal/ast"
 	"xnf/internal/engine"
+	"xnf/internal/exec"
 	"xnf/internal/opt"
 	"xnf/internal/parser"
 	"xnf/internal/rewrite"
@@ -330,40 +331,6 @@ func TestDepsARCModesAgree(t *testing.T) {
 	}
 }
 
-// Parallel extraction must produce exactly the serial result, with shared
-// fragments still materialized once.
-func TestExecuteParallelMatchesSerial(t *testing.T) {
-	db := fig1DB(t)
-	c := compileDepsARC(t, db)
-	serial, err := c.Execute(db.Store(), opt.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 5; round++ {
-		par, err := c.ExecuteParallel(db.Store(), opt.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial.Rows {
-			a := append([]string{}, rowLines(serial.Rows[i])...)
-			b := append([]string{}, rowLines(par.Rows[i])...)
-			sort.Strings(a)
-			sort.Strings(b)
-			if fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Fatalf("output %s differs under parallel extraction", serial.Outputs[i].Name)
-			}
-		}
-	}
-}
-
-func rowLines(rows []types.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	return out
-}
-
 // Recursive CO: parts explosion. Only parts reachable from root parts
 // through ASSEMBLY edges belong to the CO.
 func TestRecursivePartsExplosion(t *testing.T) {
@@ -450,15 +417,29 @@ func TestXNFViewErrors(t *testing.T) {
 }
 
 // Executing through the heterogeneous stream yields every shipped tuple
-// tagged with its component.
+// tagged with its component, exactly the rows a drain materializes.
 func TestStream(t *testing.T) {
 	db := fig1DB(t)
 	c := compileDepsARC(t, db)
+	s, err := c.Open(exec.NewCtx(db.Store()), nil, opt.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	byComp := make(map[int]int)
-	res, err := c.Stream(db.Store(), opt.DefaultOptions(), func(compID int, row types.Row) error {
+	for {
+		compID, row, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			break
+		}
 		byComp[compID]++
-		return nil
-	})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Execute(db.Store(), opt.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

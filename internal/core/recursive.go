@@ -7,7 +7,6 @@ import (
 	"xnf/internal/opt"
 	"xnf/internal/qgm"
 	"xnf/internal/semantics"
-	"xnf/internal/storage"
 	"xnf/internal/types"
 )
 
@@ -144,11 +143,11 @@ func seq(from, n int) []int {
 	return out
 }
 
-// execute runs the fixpoint: materialize local components and connections,
-// seed the roots, propagate reachability along connections, then filter.
-func (rq *RecursiveQuery) execute(store *storage.Store, opts opt.Options) (*COResult, error) {
-	comp := opt.NewCompiler(store, rq.g, opts)
-	ctx := exec.NewCtx(store)
+// execute runs the fixpoint over ctx: materialize local components and
+// connections, seed the roots, propagate reachability along connections,
+// then filter.
+func (rq *RecursiveQuery) execute(ctx *exec.Ctx, opts opt.Options) (*COResult, error) {
+	comp := opt.NewCompiler(ctx.Store, rq.g, opts)
 
 	materialize := func(box *qgm.Box) ([]types.Row, error) {
 		plan, _, err := comp.CompileBox(box, nil)

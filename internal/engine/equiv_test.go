@@ -229,6 +229,14 @@ var bigCorpus = []string{
 	"SELECT id FROM BIG LIMIT 1500",
 }
 
+// stringAggCorpus folds MIN/MAX/COUNT over a 16k-row VARCHAR column, in one
+// group and in a handful: string aggregates must stay linear in the group
+// size (no running string "+", which would concatenate).
+var stringAggCorpus = []string{
+	"SELECT MIN(s), MAX(s), COUNT(s) FROM ST",
+	"SELECT g, MIN(s), MAX(s), COUNT(s) FROM ST GROUP BY g",
+}
+
 // bigJoinCorpus joins past several batch boundaries on both sides, with
 // skew (one hot key), NULL keys scattered through the build input and a
 // build side large enough for the morsel-parallel hash build.
@@ -536,6 +544,24 @@ var equivFixtures = []equivFixture{
 		},
 		tables: []string{"BIG"},
 		cases:  cases(bigCorpus),
+	},
+	{
+		name: "string-agg",
+		build: func(t testing.TB) *Database {
+			db := openWith(t, "CREATE TABLE ST (id INT NOT NULL, g INT, s VARCHAR, PRIMARY KEY (id))")
+			loadRows(t, db, "ST", 16384, func(i int) types.Row {
+				s := types.NewString(fmt.Sprintf("s%05d", (i*7919)%16384))
+				if i%29 == 0 {
+					s = types.Null
+				}
+				return types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 5)), s}
+			})
+			return db
+		},
+		tables:   []string{"ST"},
+		cases:    cases(stringAggCorpus),
+		noNaive:  true,
+		parallel: true,
 	},
 	{
 		name:     "big-join",

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -578,8 +579,7 @@ func (db *Database) CacheStats() []CacheEntryStats { return db.plans.stats() }
 
 // coEntry is one cached CO view compilation, together with the lazily
 // compiled per-output physical plan templates (the CO analog of the SQL
-// plan cache: Execute used to re-run opt per call; now it clones the
-// cached templates via exec.ClonePlan).
+// plan cache: every stream runs private exec.ClonePlan copies of them).
 type coEntry struct {
 	compiled *core.Compiled
 	version  uint64
@@ -591,8 +591,8 @@ type coEntry struct {
 
 // CompileCOView returns the compiled form of a stored CO view, reusing the
 // cached compilation while the catalog version is unchanged. core.Compiled
-// is read-only after compilation (Execute builds fresh plans per run), so
-// one compilation serves concurrent QueryCO/ExtractCOParallel callers.
+// is read-only after compilation (every stream runs private plan clones),
+// so one compilation serves concurrent QueryCO and wire checkout callers.
 func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
 	key := strings.ToUpper(name)
 	ver := db.cat.Version()
@@ -627,25 +627,42 @@ func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
 	return compiled, nil
 }
 
-// ExtractCOView extracts a stored CO view through cached per-output plan
-// templates: the first extraction per catalog version (and optimizer
-// options) runs opt once per output, later ones clone the templates and go
-// straight to execution — completing the compile-once story for the CO
-// path (QueryCO, ExtractCOParallel and the wire server all route here).
-// Recursive COs run the fixpoint executor, which has no reusable plans.
-func (db *Database) ExtractCOView(name string, parallel bool) (*core.COResult, error) {
+// StreamCOView opens the one CO executor over a stored CO view. The
+// compilation and plan templates come from the engine's CO caches (compiled
+// once per catalog version); only plan cloning and execution happen per
+// call, lazily as the consumer pulls. Memory reservations charge the
+// session accountant carried by ctx (WithMem), or the process accountant;
+// ctx cancellation aborts the stream at the next batch boundary.
+func (db *Database) StreamCOView(ctx context.Context, name string) (*core.COStream, error) {
 	compiled, err := db.CompileCOView(name)
 	if err != nil {
 		return nil, err
 	}
-	if compiled.Recursive {
-		return compiled.Execute(db.store, db.OptOptions)
-	}
-	plans, err := db.coPlanTemplates(name, compiled)
+	templates, err := db.coPlanTemplates(name, compiled)
 	if err != nil {
 		return nil, err
 	}
-	return compiled.ExecuteTemplates(db.store, plans, parallel)
+	parent := memFromContext(ctx)
+	if parent == nil {
+		parent = db.mem
+	}
+	ectx := exec.NewCtx(db.store)
+	ectx.Mem = parent.Child("co-stream", 0)
+	ectx.Interrupt = ctx.Err
+	return compiled.Open(ectx, templates, db.OptOptions)
+}
+
+// ExtractCOView extracts a stored CO view by draining StreamCOView, so
+// in-process extraction shares the wire's plans, caches and memory
+// accounting. parallel is ignored: there is one CO executor, and the
+// argument stays only for the benchmark's call sites until a
+// benchmark-side change drops it.
+func (db *Database) ExtractCOView(name string, parallel bool) (*core.COResult, error) {
+	s, err := db.StreamCOView(context.Background(), name)
+	if err != nil {
+		return nil, err
+	}
+	return s.Drain()
 }
 
 // coPlanTemplates returns the cached plan templates for a compiled CO

@@ -44,11 +44,19 @@ type AggState struct {
 	max      types.Value
 	started  bool
 	seen     map[uint64][]types.Value // for DISTINCT
+
+	// sums, mins and maxes say which running values the function reads;
+	// only those are accumulated (a running "+" over strings would be
+	// concatenation, quadratic in the group size).
+	sums, mins, maxes bool
 }
 
 // NewAggState returns a fresh accumulator for one aggregate function.
 func NewAggState(name string, star, distinct bool) *AggState {
 	s := &AggState{name: strings.ToUpper(name), star: star, distinct: distinct}
+	s.sums = s.name == "SUM" || s.name == "AVG"
+	s.mins = s.name == "MIN"
+	s.maxes = s.name == "MAX"
 	if distinct {
 		s.seen = make(map[uint64][]types.Value)
 	}
@@ -79,13 +87,15 @@ func (s *AggState) Add(v types.Value) {
 		s.started = true
 		return
 	}
-	if sum, err := types.Arith("+", s.sum, v); err == nil {
-		s.sum = sum
+	if s.sums {
+		if sum, err := types.Arith("+", s.sum, v); err == nil {
+			s.sum = sum
+		}
 	}
-	if types.Compare(v, s.min) < 0 {
+	if s.mins && types.Compare(v, s.min) < 0 {
 		s.min = v
 	}
-	if types.Compare(v, s.max) > 0 {
+	if s.maxes && types.Compare(v, s.max) > 0 {
 		s.max = v
 	}
 }
@@ -110,29 +120,35 @@ func (s *AggState) AddInt(v int64) {
 		s.started = true
 		return
 	}
-	switch s.sum.T {
-	case types.IntType:
-		s.sum.I += v
-	case types.FloatType:
-		s.sum.F += float64(v)
-	default:
-		if sum, err := types.Arith("+", s.sum, types.NewInt(v)); err == nil {
-			s.sum = sum
+	if s.sums {
+		switch s.sum.T {
+		case types.IntType:
+			s.sum.I += v
+		case types.FloatType:
+			s.sum.F += float64(v)
+		default:
+			if sum, err := types.Arith("+", s.sum, types.NewInt(v)); err == nil {
+				s.sum = sum
+			}
 		}
 	}
-	if s.min.T == types.IntType {
-		if v < s.min.I {
-			s.min.I = v
+	if s.mins {
+		if s.min.T == types.IntType {
+			if v < s.min.I {
+				s.min.I = v
+			}
+		} else if types.Compare(types.NewInt(v), s.min) < 0 {
+			s.min = types.NewInt(v)
 		}
-	} else if types.Compare(types.NewInt(v), s.min) < 0 {
-		s.min = types.NewInt(v)
 	}
-	if s.max.T == types.IntType {
-		if v > s.max.I {
-			s.max.I = v
+	if s.maxes {
+		if s.max.T == types.IntType {
+			if v > s.max.I {
+				s.max.I = v
+			}
+		} else if types.Compare(types.NewInt(v), s.max) > 0 {
+			s.max = types.NewInt(v)
 		}
-	} else if types.Compare(types.NewInt(v), s.max) > 0 {
-		s.max = types.NewInt(v)
 	}
 }
 
@@ -153,30 +169,36 @@ func (s *AggState) AddFloat(f float64) {
 		s.started = true
 		return
 	}
-	switch s.sum.T {
-	case types.FloatType:
-		s.sum.F += f
-	case types.IntType:
-		// Arith promotes int+float to FLOAT; mirror it.
-		s.sum = types.NewFloat(float64(s.sum.I) + f)
-	default:
-		if sum, err := types.Arith("+", s.sum, types.NewFloat(f)); err == nil {
-			s.sum = sum
+	if s.sums {
+		switch s.sum.T {
+		case types.FloatType:
+			s.sum.F += f
+		case types.IntType:
+			// Arith promotes int+float to FLOAT; mirror it.
+			s.sum = types.NewFloat(float64(s.sum.I) + f)
+		default:
+			if sum, err := types.Arith("+", s.sum, types.NewFloat(f)); err == nil {
+				s.sum = sum
+			}
 		}
 	}
-	if s.min.T == types.FloatType {
-		if f < s.min.F {
-			s.min.F = f
+	if s.mins {
+		if s.min.T == types.FloatType {
+			if f < s.min.F {
+				s.min.F = f
+			}
+		} else if types.Compare(types.NewFloat(f), s.min) < 0 {
+			s.min = types.NewFloat(f)
 		}
-	} else if types.Compare(types.NewFloat(f), s.min) < 0 {
-		s.min = types.NewFloat(f)
 	}
-	if s.max.T == types.FloatType {
-		if f > s.max.F {
-			s.max.F = f
+	if s.maxes {
+		if s.max.T == types.FloatType {
+			if f > s.max.F {
+				s.max.F = f
+			}
+		} else if types.Compare(types.NewFloat(f), s.max) > 0 {
+			s.max = types.NewFloat(f)
 		}
-	} else if types.Compare(types.NewFloat(f), s.max) > 0 {
-		s.max = types.NewFloat(f)
 	}
 }
 
@@ -213,13 +235,15 @@ func (s *AggState) Merge(o *AggState) {
 		s.started = true
 		return
 	}
-	if sum, err := types.Arith("+", s.sum, o.sum); err == nil {
-		s.sum = sum
+	if s.sums {
+		if sum, err := types.Arith("+", s.sum, o.sum); err == nil {
+			s.sum = sum
+		}
 	}
-	if types.Compare(o.min, s.min) < 0 {
+	if s.mins && types.Compare(o.min, s.min) < 0 {
 		s.min = o.min
 	}
-	if types.Compare(o.max, s.max) > 0 {
+	if s.maxes && types.Compare(o.max, s.max) > 0 {
 		s.max = o.max
 	}
 }

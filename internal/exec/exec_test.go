@@ -197,6 +197,20 @@ func TestAggDistinct(t *testing.T) {
 	}
 }
 
+// MIN over strings folds by comparison alone: no running string "+" (which
+// concatenates, making MIN/MAX/COUNT quadratic in the group size).
+func TestAggMinStringAllocFree(t *testing.T) {
+	s := NewAggState("MIN", false, false)
+	a, b := types.NewString("pear"), types.NewString("apple")
+	s.Add(a)
+	if n := testing.AllocsPerRun(100, func() { s.Add(b) }); n != 0 {
+		t.Fatalf("Add on a MIN state allocated %.1f times per call, want 0", n)
+	}
+	if got := s.Result(); got.S != "apple" {
+		t.Fatalf("MIN = %v, want apple", got)
+	}
+}
+
 func TestUnionPlan(t *testing.T) {
 	s := testStore(t)
 	proj := func() Plan {

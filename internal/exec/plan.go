@@ -14,8 +14,8 @@ import (
 
 // Counters accumulates runtime statistics; the benchmark harness reads
 // them to report rows scanned, subquery probes and so on. Increment
-// through the add method — parallel CO extraction shares one context
-// across goroutines.
+// through the add method — the morsel workers of a parallel operator share
+// one context across goroutines.
 type Counters struct {
 	RowsScanned   int64
 	IndexLookups  int64
@@ -54,18 +54,20 @@ type Counters struct {
 
 func add(c *int64, n int64) { atomic.AddInt64(c, n) }
 
-// spoolEntry materializes a shared fragment exactly once even when several
-// consumers race (parallel extraction of CO outputs).
+// spoolEntry materializes a shared fragment exactly once, even when several
+// goroutines sharing the context reach it at the same time.
 type spoolEntry struct {
 	once sync.Once
 	rows []types.Row
 	err  error
 }
 
-// Ctx is the runtime context of one statement execution. It may be shared
-// by several goroutines each driving an independent plan tree (the
-// parallel CO extraction of the paper's Sect. 6 outlook); the shared
-// spool and subplan caches are synchronized.
+// Ctx is the runtime context of one statement execution, or of every output
+// of one CO extraction. Its plan trees are driven by one goroutine at a
+// time, but the morsel workers of a parallel batch operator
+// (vexec.ParallelAggScan, the parallel hash-join build) run on
+// goroutines of their own over the same context, so counters are bumped
+// atomically and the shared spool and subplan caches are synchronized.
 type Ctx struct {
 	Store    *storage.Store
 	Counters Counters
@@ -779,7 +781,7 @@ type SpoolPlan struct {
 }
 
 // Open implements Plan. The first consumer to arrive materializes the
-// fragment; concurrent consumers (parallel CO extraction) block on the
+// fragment; later or concurrent consumers sharing the context block on the
 // entry's once and then replay the shared rows.
 func (s *SpoolPlan) Open(ctx *Ctx, params types.Row) error {
 	ctx.mu.Lock()

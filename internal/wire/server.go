@@ -16,7 +16,6 @@ import (
 
 	"xnf/internal/core"
 	"xnf/internal/engine"
-	"xnf/internal/opt"
 	"xnf/internal/resource"
 	"xnf/internal/types"
 )
@@ -84,8 +83,6 @@ func (m OutputMeta) ToOutput() core.Output {
 // connection; the engine's storage layer is already concurrency-safe.
 type Server struct {
 	DB *engine.Database
-	// Opts control the extraction plans (benchmarks flip them).
-	Opts opt.Options
 
 	// MaxCursorsPerSession bounds each session's open-cursor table
 	// (0 = DefaultMaxCursors). A client that opens cursors without closing
@@ -131,7 +128,7 @@ const DefaultCursorBlockRows = 1024
 
 // NewServer wraps a database.
 func NewServer(db *engine.Database) *Server {
-	s := &Server{DB: db, Opts: opt.DefaultOptions()}
+	s := &Server{DB: db}
 	s.stats() // register the wire metric families up front, so scrapes see them before the first connection
 	return s
 }
@@ -167,11 +164,9 @@ func (s *Server) Close() error {
 // shared plan cache, so the same SQL prepared on many connections is
 // compiled once.
 type session struct {
-	// stream is the CO extraction FETCH frames drain: usually a lazily
-	// driven engine.COStream, or a materialized adapter for the rare
-	// shapes that cannot stream (recursive views). streamServed counts
-	// its shipped tuples.
-	stream       coStream
+	// stream is the CO extraction FETCH frames drain, the one lazily
+	// driven core.COStream; streamServed counts its shipped tuples.
+	stream       *core.COStream
 	streamCancel context.CancelFunc
 	streamServed int64
 
@@ -234,33 +229,6 @@ func (sess *session) teardown() {
 	sess.stmts = nil
 	sess.mem.Close()
 }
-
-// coStream is what a session drains on FETCH: the engine's lazy COStream
-// or the materialized fallback, behind one pull contract ((0, nil, nil)
-// ends the stream; Close is idempotent).
-type coStream interface {
-	Next() (int, types.Row, error)
-	Close() error
-}
-
-// materialStream adapts an already-materialized CO extraction (recursive
-// views run the fixpoint executor, which has no streaming plans) to the
-// coStream contract, so handleFetch has exactly one serving path.
-type materialStream struct {
-	rows []TaggedRow
-	pos  int
-}
-
-func (m *materialStream) Next() (int, types.Row, error) {
-	if m.pos >= len(m.rows) {
-		return 0, nil, nil
-	}
-	r := m.rows[m.pos]
-	m.pos++
-	return r.CompID, r.Row, nil
-}
-
-func (m *materialStream) Close() error { m.rows = nil; return nil }
 
 // dropStream releases the session's pending CO stream, if any.
 func (sess *session) dropStream() {
@@ -502,56 +470,27 @@ func (s *Server) handleStats(w *srvWriter) error {
 	return w.writeFrame(FrameStats, encodeStats(s.DB.Registry().Snapshot()))
 }
 
-// handleQueryCO compiles a CO view, sends the schema frame and arranges the
-// tuple stream for subsequent FETCHes. The common configuration streams:
-// per-output plans are cloned from the engine's template cache and drained
-// lazily as FETCH demand arrives, so the server never materializes the CO —
-// its memory per extraction is one fetch chunk. Recursive views (fixpoint
-// executor) and servers with overridden optimizer options fall back to the
-// materializing path.
+// handleQueryCO opens a CO view's stream, sends the schema frame and
+// leaves the stream for subsequent FETCHes: per-output plans are cloned
+// from the engine's template cache and drained lazily as FETCH demand
+// arrives, so the server never materializes a DAG CO — its memory per
+// extraction is one fetch chunk. A recursive view's fixpoint runs here,
+// under the same statement context, and its result is replayed by FETCH.
 func (s *Server) handleQueryCO(w *srvWriter, sess *session, view string) error {
 	sess.dropStream()
 	ctx, cancel := sess.stmtCtx()
-	stream, err := s.DB.StreamCOViewOpts(ctx, view, s.Opts)
-	if err == nil {
-		sess.stream = stream
-		sess.streamCancel = cancel
-		outs := stream.Outputs()
-		metas := make([]OutputMeta, len(outs))
-		for i, out := range outs {
-			metas[i] = MetaFromOutput(out, stream.HasRows(i))
-		}
-		return s.sendSchema(w, sess, metas)
-	}
-	cancel()
-	if !errors.Is(err, engine.ErrCORecursive) {
-		return s.sendErr(w, err)
-	}
-	// Recursive views run the fixpoint executor, which has no streaming
-	// plans: materialize once, then serve FETCHes from the adapter so the
-	// exchange looks identical on the wire.
-	var res *core.COResult
-	if s.Opts == s.DB.OptOptions {
-		res, err = s.DB.ExtractCOView(view, false)
-	} else {
-		var compiled *core.Compiled
-		compiled, err = s.DB.CompileCOView(view)
-		if err == nil {
-			res, err = compiled.Execute(s.DB.Store(), s.Opts)
-		}
-	}
+	stream, err := s.DB.StreamCOView(ctx, view)
 	if err != nil {
+		cancel()
 		return s.sendErr(w, err)
 	}
-	mat := &materialStream{}
-	metas := make([]OutputMeta, len(res.Outputs))
-	for i, out := range res.Outputs {
-		metas[i] = MetaFromOutput(out, res.Rows[i] != nil)
-		for _, row := range res.Rows[i] {
-			mat.rows = append(mat.rows, TaggedRow{CompID: out.CompID, Row: row})
-		}
+	sess.stream = stream
+	sess.streamCancel = cancel
+	outs := stream.Outputs()
+	metas := make([]OutputMeta, len(outs))
+	for i, out := range outs {
+		metas[i] = MetaFromOutput(out, stream.HasRows(i))
 	}
-	sess.stream = mat
 	return s.sendSchema(w, sess, metas)
 }
 

@@ -295,29 +295,16 @@ func (db *DB) QueryCO(query string) (*Cache, error) {
 }
 
 // ExtractCO runs the set-oriented extraction without building the cache.
-// Stored views execute cloned cached plan templates (compiled once per
-// catalog version); inline queries compile their plans per call.
+// Stored views drain the engine's CO stream over cached plan templates
+// (compiled once per catalog version); inline queries compile their plans
+// per call.
 func (db *DB) ExtractCO(query string) (*COResult, error) {
-	return db.extractCO(query, false)
-}
-
-// ExtractCOParallel extracts with one goroutine per CO output (the
-// parallelism extension of the paper's Sect. 6 outlook); results are
-// identical to ExtractCO.
-func (db *DB) ExtractCOParallel(query string) (*COResult, error) {
-	return db.extractCO(query, true)
-}
-
-func (db *DB) extractCO(query string, parallel bool) (*COResult, error) {
 	if v, ok := db.eng.Catalog().View(query); ok && v.IsXNF {
-		return db.eng.ExtractCOView(query, parallel)
+		return db.eng.ExtractCOView(query, false)
 	}
 	compiled, err := db.CompileCO(query)
 	if err != nil {
 		return nil, err
-	}
-	if parallel {
-		return compiled.ExecuteParallel(db.eng.Store(), db.eng.OptOptions)
 	}
 	return compiled.Execute(db.eng.Store(), db.eng.OptOptions)
 }

@@ -166,11 +166,4 @@ func TestCOViewCompilationCached(t *testing.T) {
 	if m.COCompiles.Load() != 2 {
 		t.Errorf("CO view not recompiled after DDL: %d", m.COCompiles.Load())
 	}
-	// Parallel extraction shares the cached compilation.
-	if _, err := db.ExtractCOParallel("deps_ARC"); err != nil {
-		t.Fatal(err)
-	}
-	if m.COCompiles.Load() != 2 {
-		t.Errorf("parallel extraction recompiled: %d", m.COCompiles.Load())
-	}
 }
