@@ -191,8 +191,8 @@ func command(db *xnf.DB, prepared map[string]*xnf.Stmt, cmd string) bool {
 		m := &db.Engine().Metrics
 		fmt.Printf("plan cache: %d cached, %d hits, %d misses, %d compiles\n",
 			db.Engine().PlanCacheLen(), m.CacheHits.Load(), m.CacheMisses.Load(), m.Compiles.Load())
-		fmt.Printf("CO views:   %d compiles, %d hits; plans: %d compiles, %d hits\n",
-			m.COCompiles.Load(), m.COCacheHits.Load(), m.COPlanCompiles.Load(), m.COPlanCacheHits.Load())
+		fmt.Printf("CO views:   %d compiles, %d hits\n",
+			m.COPlanCompiles.Load(), m.COPlanCacheHits.Load())
 		for i, e := range db.Engine().CacheStats() {
 			if i >= 10 {
 				fmt.Println("  …")

@@ -135,18 +135,3 @@ func TestBitmap(t *testing.T) {
 		t.Fatal("clear failed")
 	}
 }
-
-func TestAutoPromoteThreshold(t *testing.T) {
-	prev := SetAutoPromoteRows(1000)
-	defer SetAutoPromoteRows(prev)
-	if AutoPromote(999) {
-		t.Fatal("promoted below threshold")
-	}
-	if !AutoPromote(1000) {
-		t.Fatal("did not promote at threshold")
-	}
-	SetAutoPromoteRows(0)
-	if AutoPromote(1 << 30) {
-		t.Fatal("promotion enabled while disabled")
-	}
-}

@@ -60,8 +60,6 @@
 //
 // # Promotion
 //
-// Tables switch representation explicitly (ALTER TABLE … SET STORAGE
-// COLUMN/ROW) or automatically: ANALYZE consults AutoPromote with the fresh
-// live row count and promotes row tables that crossed the configured
-// threshold (SetAutoPromoteRows; 0, the default, disables the heuristic).
+// Tables switch representation only explicitly, through ALTER TABLE …
+// SET STORAGE COLUMN/ROW.
 package colstore

@@ -1,10 +1,6 @@
 package colstore
 
-import (
-	"sync/atomic"
-
-	"xnf/internal/types"
-)
+import "xnf/internal/types"
 
 // Table is the column-major heap of one table: a sequence of segments
 // addressed by global slot number. It performs no locking and no schema
@@ -245,22 +241,4 @@ func (t *Table) HollowSegments() int {
 		}
 	}
 	return n
-}
-
-// --- auto-promotion heuristic ---
-
-// autoPromoteRows is the ANALYZE-driven promotion threshold; 0 disables.
-var autoPromoteRows atomic.Int64
-
-// SetAutoPromoteRows configures the auto-promotion heuristic: ANALYZE
-// switches row-major tables whose live row count is at least n to columnar
-// storage. n = 0 (the default) disables promotion. Returns the previous
-// threshold so tests can restore it.
-func SetAutoPromoteRows(n int64) int64 { return autoPromoteRows.Swap(n) }
-
-// AutoPromote reports whether a row-major table with the given live row
-// count should be promoted to columnar storage.
-func AutoPromote(rows int64) bool {
-	n := autoPromoteRows.Load()
-	return n > 0 && rows >= n
 }

@@ -52,7 +52,7 @@ func AnalyzeTable1(cat *catalog.Catalog, xq *ast.XNFQuery, rwOpts rewrite.Option
 	if err != nil {
 		return nil, err
 	}
-	if full.Recursive {
+	if full.fix != nil {
 		return nil, fmt.Errorf("core: Table 1 analysis applies to non-recursive COs")
 	}
 

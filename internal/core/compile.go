@@ -23,15 +23,17 @@
 //     the connections locally.
 //
 // Cyclic schema graphs (recursive COs, Sect. 2) cannot be compiled to a
-// finite join DAG; Compile marks them, and opening one runs a semi-naive
-// fixpoint over the component and connection definitions whose result
-// feeds the same stream.
+// finite join DAG. Their outputs compile to plan templates all the same:
+// each output reads one fixpoint operator whose inputs are the spooled
+// local definitions of every component and connection, and the fixpoint
+// runs once per execution context, however many outputs read it.
 //
-// A CO has one execution path: compile (CompileView), plan templates
-// (PlanTemplates, cached by the engine per catalog version), Open over one
-// execution context, then either stream the tagged tuples (COStream.Next,
-// what the wire server ships) or drain them into a COResult
-// (COStream.Drain, what Execute and in-process extraction return).
+// A CO has one execution path, recursive or not: compile (CompileView),
+// plan templates (PlanTemplates; the engine caches both together in its
+// statement plan cache), Open over one execution context, then either
+// stream the tagged tuples (COStream.Next, what the wire server ships) or
+// drain them into a COResult (COStream.Drain, what Execute and in-process
+// extraction return).
 package core
 
 import (
@@ -104,13 +106,13 @@ type Output struct {
 
 // Compiled is a fully compiled CO query.
 type Compiled struct {
-	Graph     *qgm.Graph
-	Outputs   []Output
-	Recursive bool
-	// Rec holds the pieces the fixpoint executor needs when Recursive.
-	Rec *RecursiveQuery
+	Graph   *qgm.Graph
+	Outputs []Output
 	// Stats from the NF rewrite pass (rule firings), for EXPLAIN.
 	RewriteStats rewrite.Stats
+	// fix is the reachability fixpoint of a recursive CO; nil for a DAG
+	// CO, which the XNF rewrite reduces to plain NF boxes.
+	fix *fixpoint
 }
 
 // relInfo is the analyzed form of one relationship during the rewrite.
@@ -147,11 +149,11 @@ func Compile(cat *catalog.Catalog, xq *ast.XNFQuery, rwOpts rewrite.Options) (*C
 	}
 
 	if hasCycle(xnfBox) {
-		rec, err := buildRecursive(g, xnfBox, takes)
+		fix, outs, err := buildRecursive(g, xnfBox, takes)
 		if err != nil {
 			return nil, err
 		}
-		return &Compiled{Graph: g, Outputs: rec.Outputs, Recursive: true, Rec: rec}, nil
+		return &Compiled{Graph: g, Outputs: outs, fix: fix}, nil
 	}
 
 	outs, err := rewriteXNF(g, xnfBox, takes)

@@ -83,7 +83,7 @@ func colVals(rows []types.Row, ord int) []string {
 func TestDepsARCCompiles(t *testing.T) {
 	db := fig1DB(t)
 	c := compileDepsARC(t, db)
-	if c.Recursive {
+	if IsRecursive(c) {
 		t.Fatal("deps_ARC is a DAG, not recursive")
 	}
 	if len(c.Outputs) != 8 {
@@ -347,7 +347,7 @@ INSERT INTO ASSEMBLY VALUES (1, 2), (2, 3), (3, 4), (5, 6), (2, 4);
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Recursive {
+	if !IsRecursive(c) {
 		t.Fatal("parts_explosion must be recursive (cyclic schema graph)")
 	}
 	res, err := c.Execute(db.Store(), opt.DefaultOptions())

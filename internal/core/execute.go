@@ -22,17 +22,17 @@ type COResult struct {
 // multi-output plan set of the paper's Sect. 5.1 in reusable template form.
 // Templates carry no execution state of their own but plans hold iterator
 // state in their nodes, so every execution must run private clones —
-// Open does that. The engine caches templates per catalog version (the CO
-// analog of the SQL plan cache), and with vectorization enabled each leg's
-// scan→filter→project pipeline is lowered to the batch engine. Entries are
-// nil for outputs without a per-output plan: derived relationships, and
-// every output of a recursive CO, whose fixpoint plans its own boxes.
+// Open does that. The engine caches templates with the compilation in its
+// statement plan cache, and with vectorization enabled each leg's
+// scan→filter→project pipeline is lowered to the batch engine. A recursive
+// CO's outputs are fixpoint plans over its spooled local sets. Entries are
+// nil only for derived relationships, which ship nothing.
 func (c *Compiled) PlanTemplates(store *storage.Store, opts opt.Options) ([]exec.Plan, error) {
-	plans := make([]exec.Plan, len(c.Outputs))
-	if c.Recursive {
-		return plans, nil
-	}
 	comp := opt.NewCompiler(store, c.Graph, opts)
+	if c.fix != nil {
+		return c.fix.templates(comp)
+	}
+	plans := make([]exec.Plan, len(c.Outputs))
 	for i, out := range c.Outputs {
 		if out.Box == nil {
 			continue // derived relationship: nothing shipped
@@ -51,10 +51,9 @@ func (c *Compiled) PlanTemplates(store *storage.Store, opts opt.Options) ([]exec
 // run one output at a time over a single execution context, so boxes
 // shared in the QGM DAG (parents used by their own output, by child
 // reachability and by connections) are spooled exactly once (Sect. 5.1's
-// multiple-query optimization), one counter set covers the whole CO, and
-// the context's memory accountant and interrupt govern every output. A
-// recursive CO runs its fixpoint when the stream opens and replays the
-// result.
+// multiple-query optimization) — as are a recursive CO's local sets and
+// its fixpoint — one counter set covers the whole CO, and the context's
+// memory accountant and interrupt govern every output.
 //
 // The contract mirrors engine.Rows: Next returns (compID, row, nil) per
 // tuple and (0, nil, nil) at the end of the stream; Close is idempotent and
@@ -62,11 +61,9 @@ func (c *Compiled) PlanTemplates(store *storage.Store, opts opt.Options) ([]exec
 type COStream struct {
 	outputs []Output
 	ctx     *exec.Ctx
-	plans   []exec.Plan   // private clones; nil where nothing is planned
-	rows    [][]types.Row // a recursive CO's fixpoint result, replayed
-	idx     int           // output currently being drained
-	pos     int           // next replayed row of rows[idx]
-	opened  bool          // plans[idx] is open
+	plans   []exec.Plan // private clones; nil where nothing is shipped
+	idx     int         // output currently being drained
+	opened  bool        // plans[idx] is open
 	done    bool
 	err     error
 }
@@ -75,30 +72,24 @@ type COStream struct {
 // memory accountant is closed with the stream (or at once, when Open
 // fails). templates are shared plan templates from PlanTemplates — each is
 // cloned, so concurrent streams may share them; nil compiles fresh plans
-// under opts. A recursive CO ignores templates and runs its fixpoint now.
+// under opts.
 func (c *Compiled) Open(ctx *exec.Ctx, templates []exec.Plan, opts opt.Options) (*COStream, error) {
 	s := &COStream{outputs: c.Outputs, ctx: ctx}
-	var err error
-	switch {
-	case c.Recursive:
-		var res *COResult
-		if res, err = c.Rec.execute(ctx, opts); err == nil {
-			s.rows = res.Rows
-		}
-	case templates == nil:
+	if templates == nil {
 		// Freshly compiled plans are private to this stream: no clone needed.
-		s.plans, err = c.PlanTemplates(ctx.Store, opts)
-	default:
-		s.plans = make([]exec.Plan, len(templates))
-		for i, p := range templates {
-			if p != nil {
-				s.plans[i] = exec.ClonePlan(p)
-			}
+		plans, err := c.PlanTemplates(ctx.Store, opts)
+		if err != nil {
+			ctx.Mem.Close()
+			return nil, err
 		}
+		s.plans = plans
+		return s, nil
 	}
-	if err != nil {
-		ctx.Mem.Close()
-		return nil, err
+	s.plans = make([]exec.Plan, len(templates))
+	for i, p := range templates {
+		if p != nil {
+			s.plans[i] = exec.ClonePlan(p)
+		}
 	}
 	return s, nil
 }
@@ -121,14 +112,6 @@ func (s *COStream) Next() (int, types.Row, error) {
 		if s.idx >= len(s.outputs) {
 			s.shutdown()
 			return 0, nil, nil
-		}
-		if s.rows != nil {
-			if s.pos < len(s.rows[s.idx]) {
-				s.pos++
-				return s.outputs[s.idx].CompID, s.rows[s.idx][s.pos-1], nil
-			}
-			s.idx, s.pos = s.idx+1, 0
-			continue
 		}
 		plan := s.plans[s.idx]
 		if plan == nil {
@@ -203,7 +186,7 @@ func (s *COStream) shutdown() {
 		}
 	}
 	s.opened = false
-	s.plans, s.rows = nil, nil
+	s.plans = nil
 	s.ctx.Mem.Close()
 }
 
@@ -225,11 +208,11 @@ func (c *Compiled) Execute(store *storage.Store, opts opt.Options) (*COResult, e
 	return s.Drain()
 }
 
-// ExecuteTemplates materializes the CO from shared plan templates by
-// draining the stream Open returns (a recursive CO runs its fixpoint under
-// the default optimizer options). parallel is ignored: there is one CO
-// executor, and the argument stays only for the benchmark's call sites
-// until a benchmark-side change drops it.
+// ExecuteTemplates materializes the CO from shared plan templates
+// (PlanTemplates; recursive or not) by draining the stream Open returns.
+// parallel is ignored: there is one CO executor, and the argument stays
+// only for the benchmark's call sites until a benchmark-side change drops
+// it.
 func (c *Compiled) ExecuteTemplates(store *storage.Store, plans []exec.Plan, parallel bool) (*COResult, error) {
 	s, err := c.Open(exec.NewCtx(store), plans, opt.DefaultOptions())
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"xnf/internal/exec"
 	"xnf/internal/opt"
@@ -10,129 +11,105 @@ import (
 	"xnf/internal/types"
 )
 
-// RecursiveQuery is the compiled form of a cyclic CO (Sect. 2: "An XNF
+// fixpoint is the reachability operator of a cyclic CO (Sect. 2: "An XNF
 // query may also specify a recursive CO being identified by a cycle in the
-// query's schema graph"). The components and connections are evaluated
-// over their *local* definitions, then reachability is computed by a
-// breadth-first fixpoint from the root tuples along the connections.
-type RecursiveQuery struct {
-	Outputs []Output
-	g       *qgm.Graph
-	nodes   []recNode
-	rels    []recRel
+// query's schema graph"). Its inputs are the *local* definitions of every
+// component and connection; reachability is a breadth-first fixpoint from
+// the root tuples along the connections. One fixpoint is shared, read-only,
+// by every output template of the CO.
+type fixpoint struct {
+	sets   []localSet // components first, then connections
+	outSet []int      // per output, the index of its local set
 }
 
-type recNode struct {
-	name    string
-	box     *qgm.Box
+// localSet is one component or connection evaluated over its local
+// definition.
+type localSet struct {
+	name string
+	box  *qgm.Box
+	rel  bool
+
+	// Components: the key ordinals, and whether the set seeds the fixpoint.
 	keyCols []int
 	root    bool
-}
 
-type recRel struct {
-	name     string
-	box      *qgm.Box
-	parent   string
-	children []string
-	// connection-tuple layout: parent keys first, then each child's keys.
+	// Connections: the parent and child components (indexes into sets) and
+	// the tuple layout, parent keys first, then each child's keys.
+	parent    int
+	children  []int
 	parentKey []int
 	childKeys [][]int
 }
 
-// buildRecursive prepares the fixpoint execution of a cyclic CO. The
-// semantic-phase boxes are used unmodified (no reachability rewrite); the
-// Top box is rebuilt to reference every component so compilation sees all
-// of them.
-func buildRecursive(g *qgm.Graph, xnfBox *qgm.Box, takes []semantics.TakeSpec) (*RecursiveQuery, error) {
+// buildRecursive prepares the fixpoint of a cyclic CO. The semantic-phase
+// boxes are used unmodified (no reachability rewrite); the Top box is
+// rebuilt to reference every TAKEn output so compilation sees them.
+func buildRecursive(g *qgm.Graph, xnfBox *qgm.Box, takes []semantics.TakeSpec) (*fixpoint, []Output, error) {
 	for _, t := range takes {
 		if len(t.Columns) > 0 {
-			return nil, fmt.Errorf("core: TAKE column projection is not supported on recursive COs")
+			return nil, nil, fmt.Errorf("core: TAKE column projection is not supported on recursive COs")
 		}
 	}
-	rq := &RecursiveQuery{g: g}
+	f := &fixpoint{}
 	isChild := make(map[string]bool)
 	for _, o := range xnfBox.XNFOutputs {
-		if o.IsRel {
-			for _, ch := range o.Children {
-				isChild[up(ch)] = true
-			}
+		for _, ch := range o.Children {
+			isChild[up(ch)] = true
 		}
 	}
-	nodeKey := make(map[string][]int)
-	var firstNode string
+	index := make(map[string]int)
 	anyRoot := false
 	for _, o := range xnfBox.XNFOutputs {
-		if o.IsRel {
-			continue
+		if !o.IsRel {
+			root := !isChild[up(o.Name)]
+			anyRoot = anyRoot || root
+			index[up(o.Name)] = len(f.sets)
+			f.sets = append(f.sets, localSet{name: o.Name, box: o.Box, keyCols: semantics.ComponentKeyOrds(o.Box), root: root})
 		}
-		if firstNode == "" {
-			firstNode = o.Name
-		}
-		keys := semantics.ComponentKeyOrds(o.Box)
-		nodeKey[up(o.Name)] = keys
-		root := !isChild[up(o.Name)]
-		if root {
-			anyRoot = true
-		}
-		rq.nodes = append(rq.nodes, recNode{name: o.Name, box: o.Box, keyCols: keys, root: root})
 	}
 	if !anyRoot {
 		// A pure cycle has no in-degree-zero node; the first component
 		// anchors the CO (documented convention).
-		for i := range rq.nodes {
-			if rq.nodes[i].name == firstNode {
-				rq.nodes[i].root = true
-			}
-		}
+		f.sets[0].root = true
 	}
 	for _, o := range xnfBox.XNFOutputs {
 		if !o.IsRel {
 			continue
 		}
-		rr := recRel{name: o.Name, box: o.Box, parent: o.Parent, children: o.Children}
-		at := 0
-		pk := nodeKey[up(o.Parent)]
-		rr.parentKey = seq(at, len(pk))
-		at += len(pk)
+		rs := localSet{name: o.Name, box: o.Box, rel: true, parent: index[up(o.Parent)]}
+		at := len(f.sets[rs.parent].keyCols)
+		rs.parentKey = seq(0, at)
 		for _, ch := range o.Children {
-			ck := nodeKey[up(ch)]
-			rr.childKeys = append(rr.childKeys, seq(at, len(ck)))
-			at += len(ck)
+			ci := index[up(ch)]
+			rs.children = append(rs.children, ci)
+			rs.childKeys = append(rs.childKeys, seq(at, len(f.sets[ci].keyCols)))
+			at += len(f.sets[ci].keyCols)
 		}
 		if at != len(o.Box.Head) {
-			return nil, fmt.Errorf("core: recursive relationship %s: head arity mismatch", o.Name)
+			return nil, nil, fmt.Errorf("core: recursive relationship %s: head arity mismatch", o.Name)
 		}
-		rq.rels = append(rq.rels, rr)
+		index[up(o.Name)] = len(f.sets)
+		f.sets = append(f.sets, rs)
 	}
 
-	// Rebuild the Top to reference every component and connection box so
-	// Reachable()/Validate see the whole graph.
 	top := g.NewBox(qgm.Top, "")
 	top.Limit = -1
+	var outs []Output
 	for _, t := range takes {
 		o := t.Output
 		q := g.NewQuant(top, qgm.ForEach, o.Name, o.Box)
-		spec := qgm.TopOutput{Name: o.Name, CompID: len(rq.Outputs), Quant: q, IsRel: o.IsRel,
-			Parent: o.Parent, Children: o.Children, Role: o.Role}
-		out := Output{Name: o.Name, CompID: len(rq.Outputs), IsRel: o.IsRel,
-			Parent: o.Parent, Children: o.Children, Role: o.Role, Box: o.Box}
-		if o.IsRel {
-			for _, rr := range rq.rels {
-				if rr.name == o.Name {
-					out.ParentKeyOrds = rr.parentKey
-					out.ChildKeyOrds = rr.childKeys
-				}
-			}
-		} else {
-			out.KeyCols = nodeKey[up(o.Name)]
-		}
-		top.Outputs = append(top.Outputs, spec)
-		rq.Outputs = append(rq.Outputs, out)
+		top.Outputs = append(top.Outputs, qgm.TopOutput{Name: o.Name, CompID: len(outs), Quant: q, IsRel: o.IsRel,
+			Parent: o.Parent, Children: o.Children, Role: o.Role})
+		set := f.sets[index[up(o.Name)]]
+		outs = append(outs, Output{Name: o.Name, CompID: len(outs), IsRel: o.IsRel,
+			Parent: o.Parent, Children: o.Children, Role: o.Role, Box: o.Box,
+			KeyCols: set.keyCols, ParentKeyOrds: set.parentKey, ChildKeyOrds: set.childKeys})
+		f.outSet = append(f.outSet, index[up(o.Name)])
 	}
 	g.TopBox = top
 	g.GC()
-	fillOutputMeta(rq.Outputs, nil)
-	return rq, nil
+	fillOutputMeta(outs, nil)
+	return f, outs, nil
 }
 
 func seq(from, n int) []int {
@@ -143,126 +120,185 @@ func seq(from, n int) []int {
 	return out
 }
 
-// execute runs the fixpoint over ctx: materialize local components and
-// connections, seed the roots, propagate reachability along connections,
-// then filter.
-func (rq *RecursiveQuery) execute(ctx *exec.Ctx, opts opt.Options) (*COResult, error) {
-	comp := opt.NewCompiler(ctx.Store, rq.g, opts)
+// kind names a local set in errors and EXPLAIN text.
+func (s *localSet) kind() string {
+	if s.rel {
+		return "relationship " + s.name
+	}
+	return "component " + s.name
+}
 
-	materialize := func(box *qgm.Box) ([]types.Row, error) {
-		plan, _, err := comp.CompileBox(box, nil)
+// templates compiles one plan template per output of a recursive CO: a
+// fixpointPlan over every local set, each set behind a spool so it
+// materializes once per execution context whichever output opens first.
+func (f *fixpoint) templates(comp *opt.Compiler) ([]exec.Plan, error) {
+	inputs := make([]exec.Plan, len(f.sets))
+	for i, s := range f.sets {
+		plan, _, err := comp.CompileBox(s.box, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: recursive %s: %w", s.kind(), err)
 		}
-		return exec.Collect(ctx, plan)
+		// A box the compiler already spools (a component that connections
+		// also read) keeps its one spool: a second with the same ID would
+		// wait on itself.
+		if sp, ok := plan.(*exec.SpoolPlan); !ok || sp.ID != s.box.ID {
+			plan = &exec.SpoolPlan{ID: s.box.ID, Child: plan}
+		}
+		inputs[i] = plan
 	}
+	plans := make([]exec.Plan, len(f.outSet))
+	for i, set := range f.outSet {
+		plans[i] = &fixpointPlan{fix: f, set: set, inputs: inputs}
+	}
+	return plans, nil
+}
 
-	type nodeState struct {
-		rec   *recNode
-		rows  []types.Row
-		byKey map[string]int
-		reach map[string]bool
-	}
-	nodes := make(map[string]*nodeState)
-	for i := range rq.nodes {
-		n := &rq.nodes[i]
-		rows, err := materialize(n.box)
+// run materializes the local sets over ctx, seeds the roots, propagates
+// reachability along the connections and returns, per local set, its rows
+// that belong to the CO in local order: reached components, and
+// connections whose parent was reached.
+func (f *fixpoint) run(ctx *exec.Ctx, inputs []exec.Plan) ([][]types.Row, error) {
+	local := make([][]types.Row, len(inputs))
+	for i, in := range inputs {
+		rows, err := exec.Collect(ctx, in)
 		if err != nil {
-			return nil, fmt.Errorf("core: recursive component %s: %w", n.name, err)
+			return nil, fmt.Errorf("core: recursive %s: %w", f.sets[i].kind(), err)
 		}
-		st := &nodeState{rec: n, rows: rows, byKey: make(map[string]int, len(rows)), reach: make(map[string]bool)}
-		for ri, r := range rows {
-			st.byKey[r.Key(n.keyCols)] = ri
-		}
-		nodes[up(n.name)] = st
+		local[i] = rows
 	}
-	type connSet struct {
-		rec  *recRel
-		rows []types.Row
-		// byParent indexes connection rows by parent key.
-		byParent map[string][]int
-	}
-	conns := make([]*connSet, len(rq.rels))
-	for i := range rq.rels {
-		rr := &rq.rels[i]
-		rows, err := materialize(rr.box)
-		if err != nil {
-			return nil, fmt.Errorf("core: recursive relationship %s: %w", rr.name, err)
+	// Per component: the keys of its local set and the keys reached; per
+	// connection: its rows by parent key.
+	exists := make([]map[string]bool, len(f.sets))
+	reach := make([]map[string]bool, len(f.sets))
+	byParent := make([]map[string][]types.Row, len(f.sets))
+	for i, s := range f.sets {
+		if s.rel {
+			byParent[i] = make(map[string][]types.Row)
+			for _, r := range local[i] {
+				k := r.Key(s.parentKey)
+				byParent[i][k] = append(byParent[i][k], r)
+			}
+			continue
 		}
-		cs := &connSet{rec: rr, rows: rows, byParent: make(map[string][]int)}
-		for ri, r := range rows {
-			k := r.Key(rr.parentKey)
-			cs.byParent[k] = append(cs.byParent[k], ri)
+		exists[i] = make(map[string]bool, len(local[i]))
+		reach[i] = make(map[string]bool)
+		for _, r := range local[i] {
+			exists[i][r.Key(s.keyCols)] = true
 		}
-		conns[i] = cs
 	}
 
 	// Seed roots and propagate (breadth-first; terminates because the
-	// reachable sets only grow within finite local populations).
+	// reachable sets only grow within finite local populations). A child
+	// key must exist in the child's local set to be reached.
 	type item struct {
-		node string
-		key  string
+		set int
+		key string
 	}
 	var queue []item
-	for _, st := range nodes {
-		if !st.rec.root {
+	for i, s := range f.sets {
+		if !s.root {
 			continue
 		}
-		for _, r := range st.rows {
-			k := r.Key(st.rec.keyCols)
-			if !st.reach[k] {
-				st.reach[k] = true
-				queue = append(queue, item{node: up(st.rec.name), key: k})
+		for _, r := range local[i] {
+			if k := r.Key(s.keyCols); !reach[i][k] {
+				reach[i][k] = true
+				queue = append(queue, item{set: i, key: k})
 			}
 		}
 	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, cs := range conns {
-			if up(cs.rec.parent) != cur.node {
+		for ri, rs := range f.sets {
+			if !rs.rel || rs.parent != cur.set {
 				continue
 			}
-			for _, ri := range cs.byParent[cur.key] {
-				row := cs.rows[ri]
-				for ci, ch := range cs.rec.children {
-					chState := nodes[up(ch)]
-					ck := row.Key(cs.rec.childKeys[ci])
-					if _, exists := chState.byKey[ck]; !exists {
-						continue
-					}
-					if !chState.reach[ck] {
-						chState.reach[ck] = true
-						queue = append(queue, item{node: up(ch), key: ck})
+			for _, row := range byParent[ri][cur.key] {
+				for ci, ch := range rs.children {
+					if ck := row.Key(rs.childKeys[ci]); exists[ch][ck] && !reach[ch][ck] {
+						reach[ch][ck] = true
+						queue = append(queue, item{set: ch, key: ck})
 					}
 				}
 			}
 		}
 	}
 
-	res := &COResult{Outputs: rq.Outputs, Rows: make([][]types.Row, len(rq.Outputs))}
-	for i, out := range rq.Outputs {
-		if !out.IsRel {
-			st := nodes[up(out.Name)]
-			for _, r := range st.rows {
-				if st.reach[r.Key(st.rec.keyCols)] {
-					res.Rows[i] = append(res.Rows[i], r)
-				}
-			}
-			continue
+	out := make([][]types.Row, len(local))
+	for i, s := range f.sets {
+		owner, key := i, s.keyCols
+		if s.rel {
+			owner, key = s.parent, s.parentKey
 		}
-		for _, cs := range conns {
-			if cs.rec.name != out.Name {
-				continue
-			}
-			pState := nodes[up(cs.rec.parent)]
-			for _, r := range cs.rows {
-				if pState.reach[r.Key(cs.rec.parentKey)] {
-					res.Rows[i] = append(res.Rows[i], r)
-				}
+		for _, r := range local[i] {
+			if reach[owner][r.Key(key)] {
+				out[i] = append(out[i], r)
 			}
 		}
 	}
-	res.Counters = ctx.Counters
-	return res, nil
+	return out, nil
+}
+
+// fixpointPlan is the plan template of one output of a recursive CO: the
+// rows of its local set that the CO's fixpoint reaches, in local order.
+// Every output's plan holds all local sets, and the fixpoint runs once per
+// execution context (Ctx.Once, numbered by its first local set's box), so
+// the outputs of one stream open in any order and pay for one fixpoint.
+type fixpointPlan struct {
+	fix    *fixpoint
+	set    int
+	inputs []exec.Plan
+
+	rows []types.Row
+	pos  int
+}
+
+// Open implements exec.Plan.
+func (p *fixpointPlan) Open(ctx *exec.Ctx, _ types.Row) error {
+	key := exec.OnceKey{Kind: "fixpoint", ID: p.fix.sets[0].box.ID}
+	sets, err := ctx.Once(key, func() (any, error) { return p.fix.run(ctx, p.inputs) })
+	if err != nil {
+		return err
+	}
+	p.rows, p.pos = sets.([][]types.Row)[p.set], 0
+	return nil
+}
+
+// Next implements exec.Plan.
+func (p *fixpointPlan) Next(*exec.Ctx) (types.Row, error) {
+	if p.pos >= len(p.rows) {
+		return nil, nil
+	}
+	p.pos++
+	return p.rows[p.pos-1], nil
+}
+
+// Close implements exec.Plan.
+func (p *fixpointPlan) Close(*exec.Ctx) error {
+	p.rows = nil
+	return nil
+}
+
+// Columns implements exec.Plan.
+func (p *fixpointPlan) Columns() []exec.Column { return p.inputs[p.set].Columns() }
+
+// Explain implements exec.Plan: the output's local set, then every local
+// set the fixpoint reads.
+func (p *fixpointPlan) Explain(indent int) string {
+	pad := strings.Repeat("  ", indent)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%sFixpoint %s\n", pad, p.fix.sets[p.set].name)
+	for i, in := range p.inputs {
+		fmt.Fprintf(&b, "%s  %s\n%s", pad, p.fix.sets[i].kind(), in.Explain(indent+2))
+	}
+	return b.String()
+}
+
+// CloneWith implements exec.SelfCloner; the fixpoint definition is shared.
+func (p *fixpointPlan) CloneWith(cloneChild func(exec.Plan) exec.Plan) exec.Plan {
+	inputs := make([]exec.Plan, len(p.inputs))
+	for i, in := range p.inputs {
+		inputs[i] = cloneChild(in)
+	}
+	return &fixpointPlan{fix: p.fix, set: p.set, inputs: inputs}
 }

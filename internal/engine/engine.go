@@ -55,12 +55,12 @@ type Database struct {
 	// statements derive children from it (see resource.go).
 	mem *resource.Accountant
 
-	// plans caches prepared statements keyed by normalized SQL; coViews
-	// caches compiled CO views by name. Both are validated against the
-	// catalog version (DDL and ANALYZE invalidate by bumping it).
-	plans   *planCache
-	coMu    sync.Mutex
-	coViews map[string]*coEntry
+	// plans caches compiled objects: prepared statements keyed by
+	// normalized SQL, and CO views (compilation plus plan templates) keyed
+	// by a reserved prefix and the view name. Entries are validated against
+	// the catalog version and their per-name dependencies (DDL and ANALYZE
+	// bump both).
+	plans *planCache
 
 	// Durable-database state (see durability.go): background checkpoint
 	// loop lifecycle and idempotent Close.
@@ -79,7 +79,6 @@ func Open() *Database {
 		OptOptions:     opt.DefaultOptions(),
 		RewriteOptions: rewrite.DefaultOptions(),
 		plans:          newPlanCache(defaultPlanCacheCap),
-		coViews:        make(map[string]*coEntry),
 		mem:            resource.NewRoot("process", 0),
 	}
 	db.stats = newDBStats(db)

@@ -924,34 +924,6 @@ func TestEncodedDMLReencode(t *testing.T) {
 	check("second mutate and re-analyze")
 }
 
-// TestAutoPromoteOnAnalyze drives the colstore.AutoPromote heuristic:
-// ANALYZE of a row table at/above the threshold switches it to columnar,
-// with identical query results before and after.
-func TestAutoPromoteOnAnalyze(t *testing.T) {
-	db := orgDB(t) // orgDB's own Analyze runs with promotion still disabled
-	prev := colstore.SetAutoPromoteRows(4)
-	defer colstore.SetAutoPromoteRows(prev)
-	td, err := db.Store().Table("EMP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if td.StorageKind() != catalog.RowStore {
-		t.Fatal("EMP should start row-stored")
-	}
-	before := queryStrings(t, db, "SELECT edno, COUNT(*) FROM EMP GROUP BY edno")
-	if err := db.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if td.StorageKind() != catalog.ColumnStore {
-		t.Fatal("ANALYZE did not promote EMP (5 rows ≥ threshold 4)")
-	}
-	dept, _ := db.Store().Table("DEPT")
-	if dept.StorageKind() != catalog.RowStore {
-		t.Fatal("ANALYZE promoted DEPT below the threshold (3 rows < 4)")
-	}
-	sortedEqual(t, queryStrings(t, db, "SELECT edno, COUNT(*) FROM EMP GROUP BY edno"), before)
-}
-
 // --- zone maps ---
 
 // TestZoneMapPruning checks that selective range and equality filters on a

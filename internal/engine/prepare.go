@@ -42,11 +42,9 @@ type Metrics struct {
 	// CacheHits / CacheMisses count plan-cache lookups.
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
-	// COCompiles / COCacheHits count CO view compilations and reuses.
-	COCompiles  atomic.Int64
-	COCacheHits atomic.Int64
-	// COPlanCompiles / COPlanCacheHits count per-output physical plan
-	// template compilations for CO views and their reuses.
+	// COPlanCompiles / COPlanCacheHits count CO view lookups in the plan
+	// cache: misses, each compiling the view together with its per-output
+	// plan templates, and hits.
 	COPlanCompiles  atomic.Int64
 	COPlanCacheHits atomic.Int64
 }
@@ -72,6 +70,11 @@ type Stmt struct {
 	insertRows [][]exec.Expr     // compiled INSERT VALUES expressions
 	cacheable  bool
 	cost       int64 // compile wall time in nanoseconds (CacheStats observability)
+
+	// co and templates are a CO view's compilation and its per-output
+	// plan templates (a CO entry of the plan cache; see coView).
+	co        *core.Compiled
+	templates []exec.Plan
 
 	// deps / depVers record the catalog names (tables and views) the plan
 	// was compiled against and the per-name versions observed then. When the
@@ -232,23 +235,39 @@ func mergeDep(deps []string, name string) []string {
 // Query/Exec revalidates it against the catalog version and transparently
 // re-prepares when stale.
 //
-// Compilation is single-flight: callers that miss on a key another caller
-// is already compiling wait for that result instead of compiling it again,
-// and count as cache hits. A failed compile is returned to its waiters; a
-// statement that is not cacheable (DDL, literal DML) is not shared — each
-// waiter then compiles its own.
+// Compilation is single-flight (see cached); DDL and literal DML are not
+// cacheable, so concurrent callers each compile their own.
 func (db *Database) Prepare(sql string) (*Stmt, error) {
 	norm, err := normalizeSQL(sql)
 	if err != nil {
 		db.stats.stmtErrors.Inc()
 		return nil, err
 	}
+	st, err := db.cached(norm, &db.Metrics.CacheHits, &db.Metrics.CacheMisses, func() (*Stmt, error) {
+		return db.prepareMiss(sql, norm)
+	})
+	if err != nil {
+		db.stats.stmtErrors.Inc()
+	}
+	return st, err
+}
+
+// cached returns the statement the plan cache holds under norm for the
+// current catalog version and options, or compiles it with miss and caches
+// a cacheable result. miss stamps the statement with the catalog version
+// it compiles against. hits and misses count the outcome.
+//
+// Compilation is single-flight: callers that miss on a key another caller
+// is already compiling wait for that result instead of compiling it again,
+// and count as hits. A failed compile is returned to its waiters; a
+// statement that is not cacheable is not shared — each waiter then
+// compiles its own.
+func (db *Database) cached(norm string, hits, misses *atomic.Int64, miss func() (*Stmt, error)) (st *Stmt, err error) {
 	key := planKey{norm: norm, version: db.cat.Version(), optOpts: db.OptOptions, rwOpts: db.RewriteOptions}
 	st, fl, leader := db.plans.lookup(key)
 	if st == nil && !leader {
 		<-fl.done
 		if fl.err != nil {
-			db.stats.stmtErrors.Inc()
 			return nil, fl.err
 		}
 		if fl.st.cacheable {
@@ -257,23 +276,32 @@ func (db *Database) Prepare(sql string) (*Stmt, error) {
 		}
 	}
 	if st != nil {
-		db.Metrics.CacheHits.Add(1)
+		hits.Add(1)
 		return st, nil
 	}
-	db.Metrics.CacheMisses.Add(1)
+	misses.Add(1)
 	if leader {
 		// Deferred so waiters are released even if the compile panics.
 		defer func() { db.plans.finish(key, fl, st, err) }()
 	}
-	st, err = db.prepareMiss(sql, norm)
-	if err != nil {
-		db.stats.stmtErrors.Inc()
+	start := time.Now()
+	if st, err = miss(); err != nil {
+		return nil, err
 	}
-	return st, err
+	if db.cat.Version() != st.version.Load() {
+		// DDL overtook the compile: the per-name versions read by
+		// recordDeps may postdate the plan, so the dep fast path could
+		// wrongly vouch for it. Fall back to whole-version invalidation.
+		st.deps, st.depVers, st.depsKnown = nil, nil, false
+	}
+	if st.cacheable {
+		st.cost = int64(time.Since(start))
+		db.plans.put(st)
+	}
+	return st, nil
 }
 
 func (db *Database) prepareMiss(sql, norm string) (*Stmt, error) {
-	start := time.Now()
 	parsed, err := parser.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -353,16 +381,6 @@ func (db *Database) prepareMiss(sql, norm string) (*Stmt, error) {
 		// version, so caching it would only churn the LRU.
 		st.other = parsed
 	}
-	if db.cat.Version() != ver {
-		// DDL overtook the compile: the per-name versions read by
-		// recordDeps may postdate the plan, so the dep fast path could
-		// wrongly vouch for it. Fall back to whole-version invalidation.
-		st.deps, st.depVers, st.depsKnown = nil, nil, false
-	}
-	if st.cacheable {
-		st.cost = int64(time.Since(start))
-		db.plans.put(st)
-	}
 	return st, nil
 }
 
@@ -403,12 +421,13 @@ func normalizeSQL(sql string) (string, error) {
 // defaultPlanCacheCap bounds the number of cached statements per database.
 const defaultPlanCacheCap = 256
 
-// planCache is a concurrent LRU of prepared statements keyed by normalized
-// SQL. Entries are validated against the catalog version and the optimizer
-// options they were compiled under; a stale entry is evicted on lookup.
-// Invalidation is per dependency: DDL and ANALYZE bump both the global
-// catalog version and the changed name's own version, and an entry whose
-// dependencies are all unchanged survives a global bump (it is merely
+// planCache is a concurrent LRU of compiled objects: prepared statements
+// keyed by normalized SQL, and CO views keyed by coKeyPrefix plus the view
+// name (see coView). Entries are validated against the catalog version and
+// the optimizer options they were compiled under; a stale entry is evicted
+// on lookup. Invalidation is per dependency: DDL and ANALYZE bump both the
+// global catalog version and the changed name's own version, and an entry
+// whose dependencies are all unchanged survives a global bump (it is merely
 // re-stamped), so churn on one table does not flush plans over others.
 type planCache struct {
 	mu        sync.Mutex
@@ -466,9 +485,9 @@ func (pc *planCache) lookup(k planKey) (st *Stmt, fl *flight, leader bool) {
 	return nil, fl, true
 }
 
-// finish publishes the leader's result to its waiters. prepareMiss has
-// already put a cacheable statement, so no caller can fall between the
-// cache and the in-flight table.
+// finish publishes the leader's result to its waiters. cached has already
+// put a cacheable statement, so no caller can fall between the cache and
+// the in-flight table.
 func (pc *planCache) finish(k planKey, fl *flight, st *Stmt, err error) {
 	fl.st, fl.err = st, err
 	pc.mu.Lock()
@@ -575,70 +594,56 @@ type CacheEntryStats struct {
 // recently used first. The xnfsql shell surfaces it through \cache.
 func (db *Database) CacheStats() []CacheEntryStats { return db.plans.stats() }
 
-// --- compiled CO view cache ---
+// --- CO views in the plan cache ---
 
-// coEntry is one cached CO view compilation, together with the lazily
-// compiled per-output physical plan templates (the CO analog of the SQL
-// plan cache: every stream runs private exec.ClonePlan copies of them).
-type coEntry struct {
-	compiled *core.Compiled
-	version  uint64
-	rwOpts   rewrite.Options
+// coKeyPrefix starts the plan-cache key of a CO view entry. The lexer
+// rejects '#', so no SQL text normalizes to a key with this prefix.
+const coKeyPrefix = "#CO "
 
-	plans    []exec.Plan
-	planOpts opt.Options
+// coView returns the plan-cache entry of a stored CO view: its
+// compilation and per-output plan templates, compiled together on a miss.
+// The entry shares everything SQL plans have — single-flight compilation,
+// the LRU bound, CacheStats, and per-dependency invalidation: DDL or
+// ANALYZE on a table the view reads, or redefining the view, recompiles
+// it; changes to other tables do not.
+func (db *Database) coView(name string) (*Stmt, error) {
+	norm := coKeyPrefix + strings.ToUpper(name)
+	return db.cached(norm, &db.Metrics.COPlanCacheHits, &db.Metrics.COPlanCompiles, func() (*Stmt, error) {
+		st := &Stmt{db: db, text: name, norm: norm, optOpts: db.OptOptions, rwOpts: db.RewriteOptions, cacheable: true}
+		st.version.Store(db.cat.Version())
+		co, err := core.CompileView(db.cat, name, st.rwOpts)
+		if err != nil {
+			return nil, err
+		}
+		if st.templates, err = co.PlanTemplates(db.store, st.optOpts); err != nil {
+			return nil, err
+		}
+		st.co = co
+		st.recordDeps(mergeDep(co.Graph.Deps, name))
+		return st, nil
+	})
 }
 
-// CompileCOView returns the compiled form of a stored CO view, reusing the
-// cached compilation while the catalog version is unchanged. core.Compiled
-// is read-only after compilation (every stream runs private plan clones),
-// so one compilation serves concurrent QueryCO and wire checkout callers.
+// CompileCOView returns the compiled form of a stored CO view from the plan
+// cache. core.Compiled is read-only after compilation (every stream runs
+// private plan clones), so one compilation serves concurrent QueryCO and
+// wire checkout callers.
 func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
-	key := strings.ToUpper(name)
-	ver := db.cat.Version()
-	db.coMu.Lock()
-	if e, ok := db.coViews[key]; ok && e.version == ver && e.rwOpts == db.RewriteOptions {
-		db.coMu.Unlock()
-		db.Metrics.COCacheHits.Add(1)
-		return e.compiled, nil
-	}
-	db.coMu.Unlock()
-	db.Metrics.COCompiles.Add(1)
-	compiled, err := core.CompileView(db.cat, name, db.RewriteOptions)
+	st, err := db.coView(name)
 	if err != nil {
 		return nil, err
 	}
-	db.coMu.Lock()
-	// Dropped or superseded views leave stale entries behind; sweep them
-	// on insert so create/query/drop churn cannot grow the map unboundedly.
-	// Both the sweep and the admission use the version re-read under the
-	// lock: entries fresher than this compilation must survive, and a
-	// compilation overtaken by DDL mid-flight is not admitted at all.
-	cur := db.cat.Version()
-	for k, e := range db.coViews {
-		if e.version != cur {
-			delete(db.coViews, k)
-		}
-	}
-	if ver == cur {
-		db.coViews[key] = &coEntry{compiled: compiled, version: ver, rwOpts: db.RewriteOptions}
-	}
-	db.coMu.Unlock()
-	return compiled, nil
+	return st.co, nil
 }
 
 // StreamCOView opens the one CO executor over a stored CO view. The
-// compilation and plan templates come from the engine's CO caches (compiled
-// once per catalog version); only plan cloning and execution happen per
-// call, lazily as the consumer pulls. Memory reservations charge the
-// session accountant carried by ctx (WithMem), or the process accountant;
-// ctx cancellation aborts the stream at the next batch boundary.
+// compilation and plan templates come from the plan cache; only plan
+// cloning and execution happen per call, lazily as the consumer pulls.
+// Memory reservations charge the session accountant carried by ctx
+// (WithMem), or the process accountant; ctx cancellation aborts the stream
+// at the next batch boundary.
 func (db *Database) StreamCOView(ctx context.Context, name string) (*core.COStream, error) {
-	compiled, err := db.CompileCOView(name)
-	if err != nil {
-		return nil, err
-	}
-	templates, err := db.coPlanTemplates(name, compiled)
+	st, err := db.coView(name)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +654,7 @@ func (db *Database) StreamCOView(ctx context.Context, name string) (*core.COStre
 	ectx := exec.NewCtx(db.store)
 	ectx.Mem = parent.Child("co-stream", 0)
 	ectx.Interrupt = ctx.Err
-	return compiled.Open(ectx, templates, db.OptOptions)
+	return st.co.Open(ectx, st.templates, st.optOpts)
 }
 
 // ExtractCOView extracts a stored CO view by draining StreamCOView, so
@@ -663,34 +668,4 @@ func (db *Database) ExtractCOView(name string, parallel bool) (*core.COResult, e
 		return nil, err
 	}
 	return s.Drain()
-}
-
-// coPlanTemplates returns the cached plan templates for a compiled CO
-// view, compiling them on first use. compiled must be the entry's own
-// compilation (identity-checked), so templates never mix catalog versions.
-func (db *Database) coPlanTemplates(name string, compiled *core.Compiled) ([]exec.Plan, error) {
-	key := strings.ToUpper(name)
-	// One snapshot serves the cache check, the compile and the store, so
-	// plans are never filed under options they were not compiled with.
-	opts := db.OptOptions
-	db.coMu.Lock()
-	if e, ok := db.coViews[key]; ok && e.compiled == compiled && e.plans != nil && e.planOpts == opts {
-		plans := e.plans
-		db.coMu.Unlock()
-		db.Metrics.COPlanCacheHits.Add(1)
-		return plans, nil
-	}
-	db.coMu.Unlock()
-	db.Metrics.COPlanCompiles.Add(1)
-	plans, err := compiled.PlanTemplates(db.store, opts)
-	if err != nil {
-		return nil, err
-	}
-	db.coMu.Lock()
-	if e, ok := db.coViews[key]; ok && e.compiled == compiled {
-		e.plans = plans
-		e.planOpts = opts
-	}
-	db.coMu.Unlock()
-	return plans, nil
 }

@@ -54,11 +54,12 @@ type Counters struct {
 
 func add(c *int64, n int64) { atomic.AddInt64(c, n) }
 
-// spoolEntry materializes a shared fragment exactly once, even when several
-// goroutines sharing the context reach it at the same time.
-type spoolEntry struct {
+// onceEntry holds a value computed at most once per execution context,
+// even when several goroutines sharing the context ask for it at the same
+// time.
+type onceEntry struct {
 	once sync.Once
-	rows []types.Row
+	val  any
 	err  error
 }
 
@@ -67,7 +68,7 @@ type spoolEntry struct {
 // time, but the morsel workers of a parallel batch operator
 // (vexec.ParallelAggScan, the parallel hash-join build) run on
 // goroutines of their own over the same context, so counters are bumped
-// atomically and the shared spool and subplan caches are synchronized.
+// atomically and the per-context values of Once are synchronized.
 type Ctx struct {
 	Store    *storage.Store
 	Counters Counters
@@ -84,26 +85,42 @@ type Ctx struct {
 	Interrupt func() error
 
 	mu sync.Mutex
-	// spool holds materialized results of shared plan fragments, keyed by
-	// spool ID (one per shared QGM box).
-	spool map[int]*spoolEntry
-	// subplanCache holds hash tables built for subplan probes.
-	subplanCache map[int]*spoolSubplan
+	// once holds the values computed once per context: spooled shared
+	// fragments, subplan hash tables and a recursive CO's fixpoint.
+	once map[OnceKey]*onceEntry
 }
 
-type spoolSubplan struct {
-	once sync.Once
-	tbl  *subplanTable
-	err  error
+// OnceKey names a value Ctx.Once computes: Kind separates the producers
+// ("spool", "subplan", or a caller's own) and ID numbers them within a
+// kind. A struct rather than an interface key, so per-row lookups (hashed
+// subplan probes) do not allocate.
+type OnceKey struct {
+	Kind string
+	ID   int
 }
 
 // NewCtx returns a fresh runtime context over a store.
 func NewCtx(store *storage.Store) *Ctx {
-	return &Ctx{
-		Store:        store,
-		spool:        make(map[int]*spoolEntry),
-		subplanCache: make(map[int]*spoolSubplan),
+	return &Ctx{Store: store}
+}
+
+// Once returns the value build computes for key, calling build at most once
+// per context: the first caller computes it, later or concurrent callers
+// wait for that result (value or error). build must not ask for its own
+// key, which would wait on itself.
+func (c *Ctx) Once(key OnceKey, build func() (any, error)) (any, error) {
+	c.mu.Lock()
+	e, ok := c.once[key]
+	if !ok {
+		if c.once == nil {
+			c.once = make(map[OnceKey]*onceEntry)
+		}
+		e = &onceEntry{}
+		c.once[key] = e
 	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = build() })
+	return e.val, e.err
 }
 
 // Reserve charges n bytes against the statement's memory accountant.
@@ -781,27 +798,18 @@ type SpoolPlan struct {
 }
 
 // Open implements Plan. The first consumer to arrive materializes the
-// fragment; later or concurrent consumers sharing the context block on the
-// entry's once and then replay the shared rows.
+// fragment; later or concurrent consumers sharing the context wait for it
+// in Ctx.Once and then replay the shared rows.
 func (s *SpoolPlan) Open(ctx *Ctx, params types.Row) error {
-	ctx.mu.Lock()
-	entry, ok := ctx.spool[s.ID]
-	if !ok {
-		entry = &spoolEntry{}
-		ctx.spool[s.ID] = entry
-	}
-	ctx.mu.Unlock()
-	entry.once.Do(func() {
+	rows, err := ctx.Once(OnceKey{Kind: "spool", ID: s.ID}, func() (any, error) {
 		if err := s.Child.Open(ctx, params); err != nil {
-			entry.err = err
-			return
+			return nil, err
 		}
 		var rows []types.Row
 		for {
 			row, err := s.Child.Next(ctx)
 			if err != nil {
-				entry.err = err
-				return
+				return nil, err
 			}
 			if row == nil {
 				break
@@ -809,16 +817,15 @@ func (s *SpoolPlan) Open(ctx *Ctx, params types.Row) error {
 			rows = append(rows, row)
 		}
 		if err := s.Child.Close(ctx); err != nil {
-			entry.err = err
-			return
+			return nil, err
 		}
 		add(&ctx.Counters.SpoolMaterial, 1)
-		entry.rows = rows
+		return rows, nil
 	})
-	if entry.err != nil {
-		return entry.err
+	if err != nil {
+		return err
 	}
-	s.rows = entry.rows
+	s.rows = rows.([]types.Row)
 	s.pos = 0
 	return nil
 }

@@ -216,33 +216,23 @@ func (s *Subplan) evalScalar(env *Env) (types.Value, error) {
 // table returns (building on first use) the hashed materialization; the
 // build happens once per execution context even under concurrency.
 func (s *Subplan) table(env *Env) (*subplanTable, error) {
-	env.Ctx.mu.Lock()
-	entry, ok := env.Ctx.subplanCache[s.ID]
-	if !ok {
-		entry = &spoolSubplan{}
-		env.Ctx.subplanCache[s.ID] = entry
-	}
-	env.Ctx.mu.Unlock()
-	entry.once.Do(func() {
+	tbl, err := env.Ctx.Once(OnceKey{Kind: "subplan", ID: s.ID}, func() (any, error) {
 		tbl := &subplanTable{buckets: make(map[uint64][]types.Row), nkeys: len(s.Build)}
 		// Hashed subplans are uncorrelated per-row, but may carry statement
 		// placeholders: the frame is execution-constant, so evaluating it
 		// from the first caller is correct for every consumer of the entry.
 		frame, err := s.evalFrame(env)
 		if err != nil {
-			entry.err = err
-			return
+			return nil, err
 		}
 		if err := s.Plan.Open(env.Ctx, frame); err != nil {
-			entry.err = err
-			return
+			return nil, err
 		}
 		defer s.Plan.Close(env.Ctx)
 		for {
 			row, err := s.Plan.Next(env.Ctx)
 			if err != nil {
-				entry.err = err
-				return
+				return nil, err
 			}
 			if row == nil {
 				break
@@ -250,8 +240,7 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 			tbl.total++
 			key, keyNull, err := s.evalKeys(s.Build, &Env{Row: row, Params: frame, Ctx: env.Ctx})
 			if err != nil {
-				entry.err = err
-				return
+				return nil, err
 			}
 			if keyNull {
 				tbl.hasNull = true
@@ -260,12 +249,12 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 			tbl.buckets[hashKey(key)] = append(tbl.buckets[hashKey(key)], append(key, row...))
 		}
 		add(&env.Ctx.Counters.HashBuilds, 1)
-		entry.tbl = tbl
+		return tbl, nil
 	})
-	if entry.err != nil {
-		return nil, entry.err
+	if err != nil {
+		return nil, err
 	}
-	return entry.tbl, nil
+	return tbl.(*subplanTable), nil
 }
 
 func (s *Subplan) evalKeys(keys []Expr, env *Env) (types.Row, bool, error) {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"xnf/internal/catalog"
-	"xnf/internal/colstore"
 	"xnf/internal/wal"
 )
 
@@ -236,13 +235,7 @@ func (s *Store) Analyze(name string) error {
 		// whose every slot is deleted (payload freed, slot space kept).
 		ch.t.Maintain()
 	}
-	promote := td.heap.kind() == catalog.RowStore && colstore.AutoPromote(td.live)
 	td.mu.Unlock()
-	if promote {
-		// Route through SetTableStorage so the representation switch is
-		// WAL-logged and survives a crash (it also bumps the version).
-		return s.SetTableStorage(name, catalog.ColumnStore)
-	}
 	// Fresh statistics can change plan choices; stale compiled plans over
 	// this table must not outlive them (plans over other tables survive).
 	s.cat.BumpName(name)

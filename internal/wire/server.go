@@ -474,8 +474,9 @@ func (s *Server) handleStats(w *srvWriter) error {
 // leaves the stream for subsequent FETCHes: per-output plans are cloned
 // from the engine's template cache and drained lazily as FETCH demand
 // arrives, so the server never materializes a DAG CO — its memory per
-// extraction is one fetch chunk. A recursive view's fixpoint runs here,
-// under the same statement context, and its result is replayed by FETCH.
+// extraction is one fetch chunk. A recursive view's fixpoint runs at the
+// first FETCH, under the same statement context, and holds the view's
+// local sets until the stream ends.
 func (s *Server) handleQueryCO(w *srvWriter, sess *session, view string) error {
 	sess.dropStream()
 	ctx, cancel := sess.stmtCtx()

@@ -155,15 +155,23 @@ func TestCOViewCompilationCached(t *testing.T) {
 		}
 	}
 	m := &db.Engine().Metrics
-	if m.COCompiles.Load() != 1 || m.COCacheHits.Load() != 2 {
-		t.Errorf("CO compiles=%d hits=%d, want 1/2", m.COCompiles.Load(), m.COCacheHits.Load())
+	if m.COPlanCompiles.Load() != 1 || m.COPlanCacheHits.Load() != 2 {
+		t.Errorf("CO compiles=%d hits=%d, want 1/2", m.COPlanCompiles.Load(), m.COPlanCacheHits.Load())
 	}
-	// DDL invalidates the compiled view.
+	// DDL on a table the view does not read keeps the compiled view.
 	db.MustExec("CREATE TABLE extra (a INT NOT NULL, PRIMARY KEY (a))")
 	if _, err := db.QueryCO("deps_ARC"); err != nil {
 		t.Fatal(err)
 	}
-	if m.COCompiles.Load() != 2 {
-		t.Errorf("CO view not recompiled after DDL: %d", m.COCompiles.Load())
+	if m.COPlanCompiles.Load() != 1 {
+		t.Errorf("CO view recompiled after unrelated DDL: %d", m.COPlanCompiles.Load())
+	}
+	// DDL on a table it reads invalidates it.
+	db.MustExec("CREATE INDEX emp_sal ON EMP (sal)")
+	if _, err := db.QueryCO("deps_ARC"); err != nil {
+		t.Fatal(err)
+	}
+	if m.COPlanCompiles.Load() != 2 {
+		t.Errorf("CO view not recompiled after DDL on EMP: %d", m.COPlanCompiles.Load())
 	}
 }
