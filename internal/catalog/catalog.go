@@ -387,11 +387,13 @@ func (t *Table) PKOrdinals() []int {
 }
 
 // IndexOn returns an index whose leading columns cover exactly the given
-// column list prefix, preferring unique then ordered indexes.
+// column list prefix, preferring unique then ordered indexes. A hash
+// index qualifies only when cols names all of its columns: it hashes the
+// whole key, so a prefix cannot probe it.
 func (t *Table) IndexOn(cols []string) *Index {
 	var best *Index
 	for _, idx := range t.Indexes {
-		if len(idx.Columns) < len(cols) {
+		if len(idx.Columns) < len(cols) || idx.Kind == HashIndex && len(idx.Columns) != len(cols) {
 			continue
 		}
 		match := true

@@ -124,6 +124,19 @@ func TestIndexes(t *testing.T) {
 	if idx := tbl.IndexOn([]string{"loc"}); !idx.Unique {
 		t.Error("unique index should win")
 	}
+	// A hash index hashes its whole key, so a prefix cannot probe it; an
+	// ordered index can.
+	c.AddIndex(&Index{Name: "h2", Table: "DEPT", Columns: []string{"dname", "loc"}, Kind: HashIndex})
+	if idx := tbl.IndexOn([]string{"dname"}); idx != nil {
+		t.Errorf("hash index %s offered for a prefix of its key", idx.Name)
+	}
+	if idx := tbl.IndexOn([]string{"dname", "loc"}); idx == nil || idx.Name != "h2" {
+		t.Error("hash index should serve its full key")
+	}
+	c.AddIndex(&Index{Name: "o2", Table: "DEPT", Columns: []string{"dname", "loc"}, Kind: OrderedIndex})
+	if idx := tbl.IndexOn([]string{"dname"}); idx == nil || idx.Name != "o2" {
+		t.Error("ordered index should serve a prefix of its key")
+	}
 }
 
 func TestColumnHelpers(t *testing.T) {

@@ -120,6 +120,16 @@ func (t *Table) Get(slot int) (types.Row, bool) {
 	return seg.get(off)
 }
 
+// Value decodes column col of the live row at slot, without building the
+// row. The slot must be live.
+func (t *Table) Value(slot, col int) types.Value {
+	seg, off, _ := t.locate(slot)
+	if seg.nulls[col].Get(off) {
+		return types.Null
+	}
+	return seg.cols[col].load(off)
+}
+
 // Live reports whether slot holds a live row, without decoding it.
 func (t *Table) Live(slot int) bool {
 	seg, off, ok := t.locate(slot)

@@ -303,30 +303,38 @@ func (p *IndexLookupPlan) Open(ctx *Ctx, params types.Row) error {
 	if err != nil {
 		return err
 	}
-	env := Env{Params: params, Ctx: ctx}
-	key := make(types.Row, len(p.Keys))
-	for i, k := range p.Keys {
-		v, err := k.Eval(&env)
-		if err != nil {
-			return err
-		}
-		key[i] = v
+	p.matches = p.matches[:0]
+	p.pos = 0
+	p.params = params
+	key, ok, err := ProbeKey(p.Keys, &Env{Params: params, Ctx: ctx})
+	if err != nil || !ok {
+		return err
 	}
 	rids, err := td.IndexLookup(p.Index, key)
 	if err != nil {
 		return err
 	}
 	add(&ctx.Counters.IndexLookups, 1)
-	p.matches = p.matches[:0]
 	for _, rid := range rids {
 		if row, ok := td.Get(rid); ok {
-			// Hash indexes may return collisions; verify the key columns.
 			p.matches = append(p.matches, row)
 		}
 	}
-	p.pos = 0
-	p.params = params
 	return nil
+}
+
+// ProbeKey evaluates index-lookup key expressions. ok is false when a key
+// value is NULL: NULL equals nothing, so such a probe matches no row.
+func ProbeKey(keys []Expr, env *Env) (key types.Row, ok bool, err error) {
+	key = make(types.Row, len(keys))
+	for i, k := range keys {
+		v, err := k.Eval(env)
+		if err != nil || v.IsNull() {
+			return nil, false, err
+		}
+		key[i] = v
+	}
+	return key, true, nil
 }
 
 // Next implements Plan.

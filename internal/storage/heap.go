@@ -18,6 +18,9 @@ type rowHeap interface {
 	get(rid RID) (types.Row, bool)
 	// live reports whether rid holds a live row, without decoding it.
 	live(rid RID) bool
+	// value decodes column col of the live row at rid, without building
+	// the row.
+	value(rid RID, col int) types.Value
 	// append stores a row in a fresh slot.
 	append(row types.Row) RID
 	// set overwrites the live row at rid.
@@ -53,6 +56,8 @@ func (h *slotHeap) get(rid RID) (types.Row, bool) {
 func (h *slotHeap) live(rid RID) bool {
 	return rid >= 0 && int(rid) < len(h.rows) && h.rows[rid] != nil
 }
+
+func (h *slotHeap) value(rid RID, col int) types.Value { return h.rows[rid][col] }
 
 func (h *slotHeap) append(row types.Row) RID {
 	h.rows = append(h.rows, row)
@@ -97,6 +102,8 @@ func (h *colHeap) get(rid RID) (types.Row, bool) {
 }
 
 func (h *colHeap) live(rid RID) bool { return rid >= 0 && h.t.Live(int(rid)) }
+
+func (h *colHeap) value(rid RID, col int) types.Value { return h.t.Value(int(rid), col) }
 
 func (h *colHeap) append(row types.Row) RID { return RID(h.t.Append(row)) }
 

@@ -150,6 +150,35 @@ func TestPKIndexLookup(t *testing.T) {
 	}
 }
 
+// TestHashIndexLookupDropsCollisions plants a row whose key differs in the
+// bucket of another key, as a hash collision would, and requires the
+// lookup to drop it on both storage kinds.
+func TestHashIndexLookupDropsCollisions(t *testing.T) {
+	for _, kind := range []catalog.StorageKind{catalog.RowStore, catalog.ColumnStore} {
+		s := testStore(t)
+		if err := s.SetTableStorage("EMP", kind); err != nil {
+			t.Fatal(err)
+		}
+		td, _ := s.Table("EMP")
+		for i := int64(1); i <= 3; i++ {
+			if _, err := td.Insert(emp(i, "e", i, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := td.indexes[key("EMP_PK")].(*hashIndex)
+		one := types.Row{types.NewInt(1)}
+		bucket := h.keyHash(emp(1, "", 0, 0))
+		h.buckets[bucket] = append(h.buckets[bucket], 2) // rid 2 holds ENO 3
+		rids, err := td.IndexLookup("EMP_PK", one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rids) != 1 || rids[0] != 0 {
+			t.Errorf("storage %v: lookup of ENO 1 returned rids %v, want [0]", kind, rids)
+		}
+	}
+}
+
 func TestSecondaryIndexes(t *testing.T) {
 	s := testStore(t)
 	td, _ := s.Table("EMP")

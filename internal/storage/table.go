@@ -329,7 +329,8 @@ func (t *TableData) buildIndex(def *catalog.Index) error {
 }
 
 // IndexLookup returns the RIDs whose index key equals keyVals, using the
-// named index.
+// named index. A hash bucket also holds keys that merely share the hash,
+// so hash candidates whose key columns differ from keyVals are dropped.
 func (t *TableData) IndexLookup(indexName string, keyVals types.Row) ([]RID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -337,14 +338,26 @@ func (t *TableData) IndexLookup(indexName string, keyVals types.Row) ([]RID, err
 	if !ok {
 		return nil, fmt.Errorf("storage: index %s not built on table %s", indexName, t.def.Name)
 	}
+	h, hashed := idx.(*hashIndex)
 	rids := idx.lookup(keyVals)
 	out := make([]RID, 0, len(rids))
 	for _, rid := range rids {
-		if t.heap.live(rid) {
+		if t.heap.live(rid) && (!hashed || t.keyEqualLocked(rid, h.ords, keyVals)) {
 			out = append(out, rid)
 		}
 	}
 	return out, nil
+}
+
+// keyEqualLocked reports whether the live row at rid holds keyVals on the
+// columns ords.
+func (t *TableData) keyEqualLocked(rid RID, ords []int, keyVals types.Row) bool {
+	for i, v := range keyVals {
+		if !types.Equal(t.heap.value(rid, ords[i]), v) {
+			return false
+		}
+	}
+	return true
 }
 
 // IndexRange returns the RIDs whose leading index column lies in [lo, hi]

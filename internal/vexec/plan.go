@@ -220,24 +220,21 @@ func (p *IndexLookupBatch) Open(ctx *exec.Ctx, params types.Row) error {
 	if err != nil {
 		return err
 	}
-	renv := exec.Env{Params: params, Ctx: ctx}
-	key := make(types.Row, len(p.Keys))
-	for i, k := range p.Keys {
-		v, err := k.Eval(&renv)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-	}
-	rids, err := td.IndexLookup(p.Index, key)
+	p.matches = p.matches[:0]
+	key, ok, err := exec.ProbeKey(p.Keys, &exec.Env{Params: params, Ctx: ctx})
 	if err != nil {
 		return err
 	}
-	add(&ctx.Counters.IndexLookups, 1)
-	p.matches = p.matches[:0]
-	for _, rid := range rids {
-		if row, ok := td.Get(rid); ok {
-			p.matches = append(p.matches, row)
+	if ok {
+		rids, err := td.IndexLookup(p.Index, key)
+		if err != nil {
+			return err
+		}
+		add(&ctx.Counters.IndexLookups, 1)
+		for _, rid := range rids {
+			if row, ok := td.Get(rid); ok {
+				p.matches = append(p.matches, row)
+			}
 		}
 	}
 	p.ch.open(p.matches, params)
