@@ -447,3 +447,17 @@ func TestScanIndexConsistencyRandomOps(t *testing.T) {
 		t.Fatalf("RowCount %d != %d", td.RowCount(), len(alive))
 	}
 }
+
+// TestKeyUpperCaseNoCopy pins that identifier keys fold case and that an
+// already upper-case name is used as is, without an allocation.
+func TestKeyUpperCaseNoCopy(t *testing.T) {
+	for in, want := range map[string]string{"EMP": "EMP", "emp": "EMP", "Emp_PK": "EMP_PK", "": ""} {
+		if got := key(in); got != want {
+			t.Errorf("key(%q) = %q, want %q", in, got, want)
+		}
+	}
+	name := "EMP_PK"
+	if n := testing.AllocsPerRun(100, func() { _ = key(name) }); n != 0 {
+		t.Errorf("key of an upper-case name allocates %v times, want 0", n)
+	}
+}

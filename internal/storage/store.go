@@ -272,14 +272,20 @@ func (s *Store) AnalyzeAll() error {
 }
 
 func key(name string) string {
-	// Identifier lookup is case-insensitive throughout the engine.
-	b := make([]byte, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
+	// Identifier lookup is case-insensitive throughout the engine. A name
+	// that is already upper-case is its own key and is not copied.
+	i := 0
+	for i < len(name) && !('a' <= name[i] && name[i] <= 'z') {
+		i++
+	}
+	if i == len(name) {
+		return name
+	}
+	b := []byte(name)
+	for ; i < len(b); i++ {
+		if 'a' <= b[i] && b[i] <= 'z' {
+			b[i] -= 'a' - 'A'
 		}
-		b[i] = c
 	}
 	return string(b)
 }

@@ -1,9 +1,6 @@
 package types
 
-import (
-	"hash/fnv"
-	"strings"
-)
+import "strings"
 
 // Row is a tuple of values. Rows flow between executor operators and are
 // stored by the storage engine.
@@ -28,16 +25,11 @@ func (r Row) Concat(o Row) Row {
 // Hash combines the hashes of the projected columns; used by hash joins,
 // DISTINCT and GROUP BY.
 func (r Row) Hash(cols []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset64)
 	for _, c := range cols {
-		u := r[c].Hash()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:])
+		h = fnvLE(h, r[c].Hash())
 	}
-	return h.Sum64()
+	return h
 }
 
 // EqualOn reports whether two rows agree on the given columns under Equal.

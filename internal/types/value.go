@@ -6,7 +6,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -217,34 +216,47 @@ func Compare(a, b Value) int {
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Hash returns a hash consistent with Equal: integers and floats holding the
-// same numeric value hash identically so cross-type equi-joins work.
+// same numeric value hash identically so cross-type equi-joins work. It is
+// FNV-1a over a one-byte type tag and the value's bytes, computed inline so
+// hashing allocates nothing.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
 	switch v.T {
-	case NullType:
-		h.Write([]byte{0})
 	case IntType, BoolType:
-		writeUint64(h, uint64(v.I))
+		return fnvUint64(fnvOffset64, uint64(v.I))
 	case FloatType:
 		f := v.F
 		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			// Hash integral floats like the equivalent integer.
-			writeUint64(h, uint64(int64(f)))
-		} else {
-			writeUint64(h, math.Float64bits(f))
+			return fnvUint64(fnvOffset64, uint64(int64(f)))
 		}
+		return fnvUint64(fnvOffset64, math.Float64bits(f))
 	case StringType:
-		h.Write([]byte{2})
-		h.Write([]byte(v.S))
+		h := fnvByte(fnvOffset64, 2)
+		for i := 0; i < len(v.S); i++ {
+			h = fnvByte(h, v.S[i])
+		}
+		return h
 	}
-	return h.Sum64()
+	return fnvByte(fnvOffset64, 0)
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var buf [9]byte
-	buf[0] = 1
+// FNV-1a, 64-bit (hash/fnv's New64a, without the hasher allocation).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUint64 feeds the tag byte 1 and then u little-endian.
+func fnvUint64(h, u uint64) uint64 {
+	return fnvLE(fnvByte(h, 1), u)
+}
+
+// fnvLE feeds u little-endian.
+func fnvLE(h, u uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(u >> (8 * i))
+		h = fnvByte(h, byte(u>>(8*i)))
 	}
-	h.Write(buf[:])
+	return h
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -379,6 +380,51 @@ func TestRowBasics(t *testing.T) {
 	}
 	if r.String() != "1|a" {
 		t.Errorf("Row.String = %q", r.String())
+	}
+}
+
+// TestHashPinned pins Value.Hash and Row.Hash to the FNV-1a values the
+// hash/fnv implementation produced, so hash indexes, joins and grouping keep
+// their bucket layout, and requires both to allocate nothing.
+func TestHashPinned(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want uint64
+	}{
+		{Null, 0xaf63bd4c8601b7df},
+		{NewInt(0), 0x529a2cdc8ff533ac},
+		{NewInt(1), 0x7194f3e59ae47dcd},
+		{NewInt(-1), 0x685cd83ad34b3424},
+		{NewInt(math.MaxInt64), 0x685d583ad34c0da4},
+		{NewInt(math.MinInt64), 0x5299acdc8ff45a2c},
+		{NewBool(true), 0x7194f3e59ae47dcd},
+		{NewBool(false), 0x529a2cdc8ff533ac},
+		{NewFloat(1), 0x7194f3e59ae47dcd},
+		{NewFloat(1.5), 0x5095a3dc8e3e5f39},
+		{NewFloat(-0.25), 0x5043a3dc8df85511},
+		{NewFloat(math.Inf(1)), 0x50b063dc8e54ba31},
+		{NewString(""), 0xaf63bf4c8601bb45},
+		{NewString("a"), 0x8393307b4f0fe2c},
+		{NewString("ARC"), 0x5975fe8f0acca3db},
+		{NewString("héllo"), 0x7d72ab275ed191c0},
+	}
+	for _, c := range cases {
+		if got := c.v.Hash(); got != c.want {
+			t.Errorf("%#v.Hash() = %#x, want %#x", c.v, got, c.want)
+		}
+	}
+	r := Row{NewInt(7), NewString("x"), Null, NewFloat(2.5)}
+	for _, c := range []struct {
+		cols []int
+		want uint64
+	}{{[]int{0}, 0x29f7af931068af99}, {[]int{0, 1, 2, 3}, 0x5672afbc5479bfc5}, {nil, 0xcbf29ce484222325}} {
+		if got := r.Hash(c.cols); got != c.want {
+			t.Errorf("Row.Hash(%v) = %#x, want %#x", c.cols, got, c.want)
+		}
+	}
+	cols := []int{0, 1, 2, 3}
+	if n := testing.AllocsPerRun(100, func() { r.Hash(cols); r[1].Hash() }); n != 0 {
+		t.Errorf("hashing allocates %v times per run, want 0", n)
 	}
 }
 
