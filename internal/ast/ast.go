@@ -293,9 +293,13 @@ type WhenClause struct {
 
 // Placeholder is a `?` parameter marker. Idx is the 0-based occurrence
 // order assigned by the parser; at execution the value comes from slot Idx
-// of the statement's argument frame (prepared-statement binding).
+// of the statement's argument frame (prepared-statement binding). Type is
+// NullType for a caller's `?`, whose type is unknown until binding; the
+// plan cache sets it when the marker stands in for a literal of that type,
+// so the statement type-checks exactly like its literal form.
 type Placeholder struct {
-	Idx int
+	Idx  int
+	Type types.Type
 }
 
 // PathExpr is an XNF path expression over a CO view's schema graph, e.g.
@@ -400,10 +404,21 @@ func Walk(e Expr, visit func(Expr)) {
 // statement form, unlike Walk.
 func NumPlaceholders(stmt Statement) int {
 	n := 0
+	Placeholders(stmt, func(p *Placeholder) {
+		if p.Idx+1 > n {
+			n = p.Idx + 1
+		}
+	})
+	return n
+}
+
+// Placeholders calls visit on every `?` parameter marker of the statement,
+// with the same reach as NumPlaceholders.
+func Placeholders(stmt Statement, visit func(*Placeholder)) {
 	note := func(e Expr) {
 		WalkDeep(e, func(x Expr) {
-			if p, ok := x.(*Placeholder); ok && p.Idx+1 > n {
-				n = p.Idx + 1
+			if p, ok := x.(*Placeholder); ok {
+				visit(p)
 			}
 		})
 	}
@@ -455,7 +470,6 @@ func NumPlaceholders(stmt Statement) int {
 			}
 		}
 	}
-	return n
 }
 
 // WalkDeep is Walk extended to descend into subquery select bodies (their

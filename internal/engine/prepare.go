@@ -12,7 +12,6 @@ import (
 	"xnf/internal/ast"
 	"xnf/internal/core"
 	"xnf/internal/exec"
-	"xnf/internal/lexer"
 	"xnf/internal/opt"
 	"xnf/internal/parser"
 	"xnf/internal/rewrite"
@@ -51,14 +50,28 @@ type Metrics struct {
 
 // Stmt is a prepared statement: SQL text compiled once and executed many
 // times with `?` placeholder arguments — the compile-once/navigate-many
-// economics of the paper applied to the SQL request path. A Stmt is
-// immutable after Prepare and safe for concurrent use; every execution
-// runs a private clone of the compiled plan.
+// economics of the paper applied to the SQL request path. A Stmt is a light
+// per-text handle over a plan the cache shares between every text of the
+// same shape: the handle holds the caller's text and the literals lifted
+// out of it (see normalizeSQL), and binds them together with the caller's
+// arguments at each execution. A Stmt is immutable after Prepare and safe
+// for concurrent use; every execution runs a private clone of the plan.
 type Stmt struct {
+	*entry
+	text    string // the caller's SQL
+	nparams int    // the caller's `?` count
+	// frame is the argument frame with the text's lifted literals in
+	// place; user lists the slots the caller's arguments fill. frame is
+	// nil when nothing was lifted (the caller's arguments are the frame).
+	frame types.Row
+	user  []int
+}
+
+// entry is one compiled object of the plan cache: a statement shape's
+// plan, or a CO view's compilation and plan templates.
+type entry struct {
 	db         *Database
-	text       string // original SQL
-	norm       string // normalized cache key
-	nparams    int
+	norm       string        // cache key
 	version    atomic.Uint64 // catalog version the plan is known fresh at
 	optOpts    opt.Options
 	rwOpts     rewrite.Options
@@ -70,6 +83,16 @@ type Stmt struct {
 	insertRows [][]exec.Expr     // compiled INSERT VALUES expressions
 	cacheable  bool
 	cost       int64 // compile wall time in nanoseconds (CacheStats observability)
+
+	// literal marks a shape whose placeholder form does not compile (its
+	// literals are load-bearing, or the statement is in error): Prepare
+	// then compiles the text with its literals in place, under the
+	// literal key, which also reports errors in the caller's own terms.
+	literal bool
+
+	// self is the handle of the text that compiled the entry; a later
+	// Prepare of the same text reuses it instead of allocating one.
+	self *Stmt
 
 	// co and templates are a CO view's compilation and its per-output
 	// plan templates (a CO entry of the plan cache; see coView).
@@ -104,6 +127,22 @@ func (s *Stmt) SQL() string { return s.text }
 
 // Columns describes the output of a prepared SELECT (nil otherwise).
 func (s *Stmt) Columns() []exec.Column { return s.cols }
+
+// bind returns the plan's argument frame for one execution: the caller's
+// arguments merged, in token order, with the text's lifted literals.
+func (s *Stmt) bind(args []types.Value) types.Row {
+	if s.frame == nil {
+		return args
+	}
+	if len(s.user) == 0 {
+		return s.frame
+	}
+	frame := append(types.Row(nil), s.frame...)
+	for i, slot := range s.user {
+		frame[slot] = args[i]
+	}
+	return frame
+}
 
 // Query executes a prepared SELECT with the given placeholder arguments and
 // materializes the whole result. It is a thin wrapper over QueryRows — the
@@ -152,15 +191,15 @@ func (s *Stmt) Exec(args ...types.Value) (int64, error) {
 	switch st := s.other.(type) {
 	case *ast.InsertStmt:
 		verb = 'I'
-		n, err = s.db.execInsertWith(st, types.Row(args), s.plan, s.insertRows)
+		n, err = s.db.execInsertWith(st, s.bind(args), s.plan, s.insertRows)
 	case *ast.UpdateStmt:
 		// The mutation was compiled at Prepare; Revalidate guarantees it
 		// matches the current catalog version.
 		verb = 'U'
-		n, err = s.db.runUpdate(st, s.mut, types.Row(args))
+		n, err = s.db.runUpdate(st, s.mut, s.bind(args))
 	case *ast.DeleteStmt:
 		verb = 'D'
-		n, err = s.db.runDelete(st, s.mut, types.Row(args))
+		n, err = s.db.runDelete(st, s.mut, s.bind(args))
 	default:
 		// DDL never carries placeholders (Prepare rejects it); run as-is.
 		n, err = s.db.ExecStmt(s.other)
@@ -182,24 +221,34 @@ func (s *Stmt) Exec(args ...types.Value) (int64, error) {
 // concurrently leaves the stored version behind the catalog's and the
 // statement detectably stale on the next call.
 func (s *Stmt) Revalidate() (*Stmt, error) {
-	if s.optOpts == s.db.OptOptions && s.rwOpts == s.db.RewriteOptions {
-		cur := s.db.cat.Version()
-		if s.version.Load() == cur {
-			return s, nil
-		}
-		if s.depsKnown && s.depsFresh() {
-			s.version.Store(cur)
-			return s, nil
-		}
+	if s.fresh() {
+		return s, nil
 	}
 	return s.db.Prepare(s.text)
 }
 
+// fresh reports whether the entry still matches the catalog and options,
+// re-stamping it when only unrelated names changed.
+func (e *entry) fresh() bool {
+	if e.optOpts != e.db.OptOptions || e.rwOpts != e.db.RewriteOptions {
+		return false
+	}
+	cur := e.db.cat.Version()
+	if e.version.Load() == cur {
+		return true
+	}
+	if e.depsKnown && e.depsFresh() {
+		e.version.Store(cur)
+		return true
+	}
+	return false
+}
+
 // depsFresh reports whether every recorded dependency is still at the
 // version observed at compile time.
-func (s *Stmt) depsFresh() bool {
-	for i, d := range s.deps {
-		if s.db.cat.NameVersion(d) != s.depVers[i] {
+func (e *entry) depsFresh() bool {
+	for i, d := range e.deps {
+		if e.db.cat.NameVersion(d) != e.depVers[i] {
 			return false
 		}
 	}
@@ -208,13 +257,13 @@ func (s *Stmt) depsFresh() bool {
 
 // recordDeps snapshots the per-name catalog versions for the given
 // dependency names (already upper-cased by the semantic layer).
-func (s *Stmt) recordDeps(deps []string) {
-	s.deps = deps
-	s.depVers = make([]uint64, len(deps))
+func (e *entry) recordDeps(deps []string) {
+	e.deps = deps
+	e.depVers = make([]uint64, len(deps))
 	for i, d := range deps {
-		s.depVers[i] = s.db.cat.NameVersion(d)
+		e.depVers[i] = e.db.cat.NameVersion(d)
 	}
-	s.depsKnown = true
+	e.depsKnown = true
 }
 
 // mergeDep appends a catalog name (upper-cased, deduped) to a dep list.
@@ -229,191 +278,205 @@ func mergeDep(deps []string, name string) []string {
 }
 
 // Prepare compiles a statement against the current catalog, consulting and
-// populating the database's plan cache. Two textually different but
-// token-equivalent SQL strings (whitespace, keyword/identifier case) share
-// one cache entry. The returned Stmt stays valid across DDL: every
+// populating the database's plan cache. The cache key is the statement's
+// shape (see normalizeSQL): texts that differ in whitespace, keyword or
+// identifier case, or the values of their literals share one compiled plan,
+// and the returned handle binds its own literals at each execution. So
+// 4000 point lookups that differ only in their key compile once, and so
+// does literal DML. The returned Stmt stays valid across DDL: every
 // Query/Exec revalidates it against the catalog version and transparently
 // re-prepares when stale.
 //
-// Compilation is single-flight (see cached); DDL and literal DML are not
-// cacheable, so concurrent callers each compile their own.
+// Compilation is single-flight (see cached); DDL and multi-row literal
+// INSERTs are not cacheable, so concurrent callers each compile their own.
 func (db *Database) Prepare(sql string) (*Stmt, error) {
-	norm, err := normalizeSQL(sql)
-	if err != nil {
-		db.stats.stmtErrors.Inc()
-		return nil, err
-	}
-	st, err := db.cached(norm, &db.Metrics.CacheHits, &db.Metrics.CacheMisses, func() (*Stmt, error) {
-		return db.prepareMiss(sql, norm)
-	})
+	st, err := db.prepare(sql)
 	if err != nil {
 		db.stats.stmtErrors.Inc()
 	}
 	return st, err
 }
 
-// cached returns the statement the plan cache holds under norm for the
+func (db *Database) prepare(sql string) (*Stmt, error) {
+	n, err := normalizeSQL(sql)
+	if err != nil {
+		return nil, err
+	}
+	e, err := db.cached(n.key, &db.Metrics.CacheHits, &db.Metrics.CacheMisses, func() (*entry, error) {
+		return db.prepareMiss(sql, n)
+	})
+	if err == nil && e.literal {
+		if n, err = literalSQL(sql); err != nil {
+			return nil, err
+		}
+		e, err = db.cached(n.key, &db.Metrics.CacheHits, &db.Metrics.CacheMisses, func() (*entry, error) {
+			return db.prepareMiss(sql, n)
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if self := e.self; self != nil && self.text == sql {
+		return self, nil
+	}
+	return &Stmt{entry: e, text: sql, nparams: n.nparams, frame: n.frame, user: n.user}, nil
+}
+
+// cached returns the entry the plan cache holds under norm for the
 // current catalog version and options, or compiles it with miss and caches
-// a cacheable result. miss stamps the statement with the catalog version
-// it compiles against. hits and misses count the outcome.
+// a cacheable result. miss stamps the entry with the catalog version it
+// compiles against. hits and misses count the outcome.
 //
 // Compilation is single-flight: callers that miss on a key another caller
 // is already compiling wait for that result instead of compiling it again,
-// and count as hits. A failed compile is returned to its waiters; a
-// statement that is not cacheable is not shared — each waiter then
-// compiles its own.
-func (db *Database) cached(norm string, hits, misses *atomic.Int64, miss func() (*Stmt, error)) (st *Stmt, err error) {
+// and count as hits. A failed compile is returned to its waiters; an entry
+// that is not cacheable is not shared — each waiter then compiles its own.
+func (db *Database) cached(norm string, hits, misses *atomic.Int64, miss func() (*entry, error)) (e *entry, err error) {
 	key := planKey{norm: norm, version: db.cat.Version(), optOpts: db.OptOptions, rwOpts: db.RewriteOptions}
-	st, fl, leader := db.plans.lookup(key)
-	if st == nil && !leader {
+	e, fl, leader := db.plans.lookup(key)
+	if e == nil && !leader {
 		<-fl.done
 		if fl.err != nil {
 			return nil, fl.err
 		}
 		if fl.st.cacheable {
-			st = fl.st
-			st.hits.Add(1)
+			e = fl.st
+			e.hits.Add(1)
 		}
 	}
-	if st != nil {
+	if e != nil {
 		hits.Add(1)
-		return st, nil
+		return e, nil
 	}
 	misses.Add(1)
 	if leader {
 		// Deferred so waiters are released even if the compile panics.
-		defer func() { db.plans.finish(key, fl, st, err) }()
+		defer func() { db.plans.finish(key, fl, e, err) }()
 	}
 	start := time.Now()
-	if st, err = miss(); err != nil {
+	if e, err = miss(); err != nil {
 		return nil, err
 	}
-	if db.cat.Version() != st.version.Load() {
+	if db.cat.Version() != e.version.Load() {
 		// DDL overtook the compile: the per-name versions read by
 		// recordDeps may postdate the plan, so the dep fast path could
 		// wrongly vouch for it. Fall back to whole-version invalidation.
-		st.deps, st.depVers, st.depsKnown = nil, nil, false
+		e.deps, e.depVers, e.depsKnown = nil, nil, false
 	}
-	if st.cacheable {
-		st.cost = int64(time.Since(start))
-		db.plans.put(st)
+	if e.cacheable {
+		e.cost = int64(time.Since(start))
+		db.plans.put(e)
 	}
-	return st, nil
+	return e, nil
 }
 
-func (db *Database) prepareMiss(sql, norm string) (*Stmt, error) {
-	parsed, err := parser.Parse(sql)
+// newEntry starts a cache entry under key, stamped with the current
+// catalog version and options.
+func (db *Database) newEntry(norm string) *entry {
+	e := &entry{db: db, norm: norm, optOpts: db.OptOptions, rwOpts: db.RewriteOptions}
+	e.version.Store(db.cat.Version())
+	return e
+}
+
+// prepareMiss compiles the entry for a normalized text. With lifted
+// literals it compiles the placeholder form, each marker typed like the
+// literal it replaces; if that form does not compile, the entry is a
+// literal marker (see entry.literal).
+func (db *Database) prepareMiss(sql string, n normalized) (*entry, error) {
+	text := sql
+	if n.frame != nil {
+		text = placeholderText(sql, n.spans)
+	}
+	e := db.newEntry(n.key)
+	parsed, err := parser.Parse(text)
+	if err == nil {
+		if n.frame != nil {
+			ast.Placeholders(parsed, func(p *ast.Placeholder) { p.Type = n.frame[p.Idx].T })
+		}
+		err = db.compileEntry(e, parsed)
+	}
 	if err != nil {
-		return nil, err
+		if n.frame == nil {
+			return nil, err
+		}
+		// No dependencies are recorded, so any DDL evicts the marker.
+		m := &entry{db: db, norm: n.key, optOpts: e.optOpts, rwOpts: e.rwOpts, literal: true, cacheable: true}
+		m.version.Store(e.version.Load())
+		return m, nil
 	}
-	ver := db.cat.Version()
-	st := &Stmt{
-		db:      db,
-		text:    sql,
-		norm:    norm,
-		nparams: ast.NumPlaceholders(parsed),
-		optOpts: db.OptOptions,
-		rwOpts:  db.RewriteOptions,
-	}
-	st.version.Store(ver)
+	e.self = &Stmt{entry: e, text: sql, nparams: n.nparams, frame: n.frame, user: n.user}
+	return e, nil
+}
+
+// compileEntry compiles a parsed statement into e and decides whether the
+// entry may be cached.
+func (db *Database) compileEntry(e *entry, parsed ast.Statement) error {
+	nargs := ast.NumPlaceholders(parsed)
 	switch s := parsed.(type) {
 	case *ast.SelectStmt:
 		plan, deps, err := db.compileSelectDeps(s)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		st.sel = s
-		st.plan = plan
-		st.cols = plan.Columns()
-		st.cacheable = true
-		st.recordDeps(deps)
+		e.sel = s
+		e.plan = plan
+		e.cols = plan.Columns()
+		e.cacheable = true
+		e.recordDeps(deps)
 	case *ast.InsertStmt:
 		// INSERT … SELECT precompiles the source query (the expensive
 		// pipeline) and plain VALUES precompiles its expressions; only
 		// value evaluation and constraint checking remain per execution.
-		// Like UPDATE/DELETE, unparameterized VALUES inserts are not
-		// admitted to the cache (see below).
+		// A multi-row VALUES list without placeholders is a one-shot bulk
+		// load (its literals are never lifted): caching it would only
+		// flush hot plans out of the LRU.
 		if s.Select != nil {
 			plan, deps, err := db.compileSelectDeps(s.Select)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			st.plan = plan
-			st.recordDeps(mergeDep(deps, s.Table))
+			e.plan = plan
+			e.recordDeps(mergeDep(deps, s.Table))
 		} else {
 			rows, deps, err := db.compileInsertRows(s)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			st.insertRows = rows
-			st.recordDeps(mergeDep(deps, s.Table))
+			e.insertRows = rows
+			e.recordDeps(mergeDep(deps, s.Table))
 		}
-		st.other = parsed
-		st.cacheable = st.nparams > 0 || s.Select != nil
+		e.other = parsed
+		e.cacheable = s.Select != nil || len(s.Rows) == 1 || nargs > 0
 	case *ast.UpdateStmt:
 		// UPDATE/DELETE compile the predicate and assignments once per
 		// catalog version — repeated executions skip semantic analysis
-		// entirely. Unparameterized DML is still not admitted to the
-		// cache: a bulk load of distinct literal statements would flush
-		// every hot compiled SELECT out of the LRU.
+		// entirely.
 		mut, err := db.compileMutation(s.Table, s.Alias, s.Where, s.Set)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		st.mut = mut
-		st.other = parsed
-		st.cacheable = st.nparams > 0
-		st.recordDeps(mut.deps)
+		e.mut = mut
+		e.other = parsed
+		e.cacheable = true
+		e.recordDeps(mut.deps)
 	case *ast.DeleteStmt:
 		mut, err := db.compileMutation(s.Table, s.Alias, s.Where, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		st.mut = mut
-		st.other = parsed
-		st.cacheable = st.nparams > 0
-		st.recordDeps(mut.deps)
+		e.mut = mut
+		e.other = parsed
+		e.cacheable = true
+		e.recordDeps(mut.deps)
 	default:
-		if st.nparams > 0 {
-			return nil, fmt.Errorf("engine: placeholders are only allowed in SELECT, INSERT, UPDATE and DELETE statements")
+		if nargs > 0 {
+			return fmt.Errorf("engine: placeholders are only allowed in SELECT, INSERT, UPDATE and DELETE statements")
 		}
 		// DDL is never cached: it self-invalidates by bumping the catalog
 		// version, so caching it would only churn the LRU.
-		st.other = parsed
+		e.other = parsed
 	}
-	return st, nil
-}
-
-// normalizeSQL renders the token stream back to a canonical string: one
-// space between tokens, keywords and identifiers upper-cased (the engine
-// resolves identifiers case-insensitively), string literals re-quoted.
-// Used only as the plan-cache key; the original text is what gets parsed.
-func normalizeSQL(sql string) (string, error) {
-	toks, err := lexer.Lex(sql)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.Grow(len(sql))
-	for _, t := range toks {
-		if t.Kind == lexer.EOF {
-			break
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		switch t.Kind {
-		case lexer.Ident:
-			b.WriteString(strings.ToUpper(t.Text))
-		case lexer.String:
-			b.WriteByte('\'')
-			b.WriteString(strings.ReplaceAll(t.Text, "'", "''"))
-			b.WriteByte('\'')
-		default:
-			b.WriteString(t.Text)
-		}
-	}
-	return b.String(), nil
+	return nil
 }
 
 // --- plan cache ---
@@ -432,7 +495,7 @@ const defaultPlanCacheCap = 256
 type planCache struct {
 	mu        sync.Mutex
 	cap       int
-	lru       *list.List // of *Stmt, front = most recently used
+	lru       *list.List // of *entry, front = most recently used
 	byKey     map[string]*list.Element
 	inflight  map[planKey]*flight // compilations in progress
 	evictions atomic.Int64        // entries evicted to make room
@@ -451,7 +514,7 @@ type planKey struct {
 // closed.
 type flight struct {
 	done chan struct{}
-	st   *Stmt
+	st   *entry
 	err  error
 }
 
@@ -471,11 +534,11 @@ func newPlanCache(capacity int) *planCache {
 // in-flight compilation of k instead: leader reports whether the caller
 // registered it — and must call finish — or found another caller's, whose
 // result it reads after fl.done closes.
-func (pc *planCache) lookup(k planKey) (st *Stmt, fl *flight, leader bool) {
+func (pc *planCache) lookup(k planKey) (e *entry, fl *flight, leader bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if st := pc.get(k); st != nil {
-		return st, nil, false
+	if e := pc.get(k); e != nil {
+		return e, nil, false
 	}
 	if fl, ok := pc.inflight[k]; ok {
 		return nil, fl, false
@@ -486,10 +549,10 @@ func (pc *planCache) lookup(k planKey) (st *Stmt, fl *flight, leader bool) {
 }
 
 // finish publishes the leader's result to its waiters. cached has already
-// put a cacheable statement, so no caller can fall between the cache and
-// the in-flight table.
-func (pc *planCache) finish(k planKey, fl *flight, st *Stmt, err error) {
-	fl.st, fl.err = st, err
+// put a cacheable entry, so no caller can fall between the cache and the
+// in-flight table.
+func (pc *planCache) finish(k planKey, fl *flight, e *entry, err error) {
+	fl.st, fl.err = e, err
 	pc.mu.Lock()
 	delete(pc.inflight, k)
 	pc.mu.Unlock()
@@ -497,34 +560,34 @@ func (pc *planCache) finish(k planKey, fl *flight, st *Stmt, err error) {
 }
 
 // get is the cache lookup proper; callers hold pc.mu.
-func (pc *planCache) get(k planKey) *Stmt {
+func (pc *planCache) get(k planKey) *entry {
 	key, version := k.norm, k.version
 	el, ok := pc.byKey[key]
 	if !ok {
 		return nil
 	}
-	st := el.Value.(*Stmt)
-	if st.optOpts != k.optOpts || st.rwOpts != k.rwOpts {
+	e := el.Value.(*entry)
+	if e.optOpts != k.optOpts || e.rwOpts != k.rwOpts {
 		pc.lru.Remove(el)
 		delete(pc.byKey, key)
 		return nil
 	}
-	if st.version.Load() != version {
+	if e.version.Load() != version {
 		// The catalog moved since the plan was stamped. If none of the
 		// plan's own dependencies changed, the DDL was unrelated — re-stamp
 		// and serve; otherwise evict. `version` was read by the caller
 		// before the dep checks, so a dep bumped concurrently leaves the
 		// entry stale relative to the catalog and caught on the next get.
-		if !st.depsKnown || !st.depsFresh() {
+		if !e.depsKnown || !e.depsFresh() {
 			pc.lru.Remove(el)
 			delete(pc.byKey, key)
 			return nil
 		}
-		st.version.Store(version)
+		e.version.Store(version)
 	}
 	pc.lru.MoveToFront(el)
-	st.hits.Add(1)
-	return st
+	e.hits.Add(1)
+	return e
 }
 
 // stats snapshots the per-entry hit counters in MRU order.
@@ -533,28 +596,28 @@ func (pc *planCache) stats() []CacheEntryStats {
 	defer pc.mu.Unlock()
 	out := make([]CacheEntryStats, 0, pc.lru.Len())
 	for el := pc.lru.Front(); el != nil; el = el.Next() {
-		st := el.Value.(*Stmt)
-		out = append(out, CacheEntryStats{SQL: st.norm, Hits: st.hits.Load(), CostNs: st.cost})
+		e := el.Value.(*entry)
+		out = append(out, CacheEntryStats{SQL: e.norm, Hits: e.hits.Load(), CostNs: e.cost})
 	}
 	return out
 }
 
-func (pc *planCache) put(st *Stmt) {
+func (pc *planCache) put(e *entry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.cap <= 0 {
 		return
 	}
-	if el, ok := pc.byKey[st.norm]; ok {
-		el.Value = st
+	if el, ok := pc.byKey[e.norm]; ok {
+		el.Value = e
 		pc.lru.MoveToFront(el)
 		return
 	}
-	pc.byKey[st.norm] = pc.lru.PushFront(st)
+	pc.byKey[e.norm] = pc.lru.PushFront(e)
 	for pc.lru.Len() > pc.cap {
 		victim := pc.lru.Back()
 		pc.lru.Remove(victim)
-		delete(pc.byKey, victim.Value.(*Stmt).norm)
+		delete(pc.byKey, victim.Value.(*entry).norm)
 		pc.evictions.Add(1)
 	}
 }
@@ -606,21 +669,21 @@ const coKeyPrefix = "#CO "
 // the LRU bound, CacheStats, and per-dependency invalidation: DDL or
 // ANALYZE on a table the view reads, or redefining the view, recompiles
 // it; changes to other tables do not.
-func (db *Database) coView(name string) (*Stmt, error) {
+func (db *Database) coView(name string) (*entry, error) {
 	norm := coKeyPrefix + strings.ToUpper(name)
-	return db.cached(norm, &db.Metrics.COPlanCacheHits, &db.Metrics.COPlanCompiles, func() (*Stmt, error) {
-		st := &Stmt{db: db, text: name, norm: norm, optOpts: db.OptOptions, rwOpts: db.RewriteOptions, cacheable: true}
-		st.version.Store(db.cat.Version())
-		co, err := core.CompileView(db.cat, name, st.rwOpts)
+	return db.cached(norm, &db.Metrics.COPlanCacheHits, &db.Metrics.COPlanCompiles, func() (*entry, error) {
+		e := db.newEntry(norm)
+		e.cacheable = true
+		co, err := core.CompileView(db.cat, name, e.rwOpts)
 		if err != nil {
 			return nil, err
 		}
-		if st.templates, err = co.PlanTemplates(db.store, st.optOpts); err != nil {
+		if e.templates, err = co.PlanTemplates(db.store, e.optOpts); err != nil {
 			return nil, err
 		}
-		st.co = co
-		st.recordDeps(mergeDep(co.Graph.Deps, name))
-		return st, nil
+		e.co = co
+		e.recordDeps(mergeDep(co.Graph.Deps, name))
+		return e, nil
 	})
 }
 

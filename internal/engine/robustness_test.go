@@ -103,10 +103,11 @@ func TestPlanCacheDepInvalidation(t *testing.T) {
 	mustExec(t, db, "INSERT INTO ta VALUES (1, 10)")
 
 	const q = "SELECT v FROM ta WHERE k = 1"
-	norm, err := normalizeSQL(q)
+	n, err := normalizeSQL(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	norm := n.key
 	hits := func() int64 {
 		for _, e := range db.CacheStats() {
 			if e.SQL == norm {

@@ -207,7 +207,7 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...types.Value) (*Rows
 		cols: s.cols, plan: plan, ectx: ectx, cctx: ctx, cancel: cancel, open: true,
 		db: s.db, sql: s.text, start: start,
 	}
-	if err := plan.Open(ectx, types.Row(args)); err != nil {
+	if err := plan.Open(ectx, s.bind(args)); err != nil {
 		r.err = err
 		r.observe()
 		return nil, err

@@ -31,9 +31,9 @@ func FuzzLex(f *testing.F) {
 		}
 		// A successful lex must yield tokens with sane positions.
 		for _, tok := range toks {
-			if tok.Pos < 0 || tok.Pos > len(input) {
-				t.Fatalf("token %q has position %d outside input of length %d",
-					tok.Text, tok.Pos, len(input))
+			if tok.Pos < 0 || tok.Pos > tok.End || tok.End > len(input) {
+				t.Fatalf("token %q has span [%d, %d) outside input of length %d",
+					tok.Text, tok.Pos, tok.End, len(input))
 			}
 		}
 	})

@@ -22,11 +22,14 @@ const (
 	Symbol // operators and punctuation
 )
 
-// Token is one lexical unit with its source position (1-based).
+// Token is one lexical unit with its source position: Pos and End are the
+// byte offsets of its first byte and just past its last (so input[Pos:End]
+// is the token as written), Line is 1-based.
 type Token struct {
 	Kind Kind
-	Text string // keywords are upper-cased; identifiers keep original case
+	Text string // keywords are upper-cased; identifiers keep original case; strings are unescaped
 	Pos  int
+	End  int
 	Line int
 }
 
@@ -74,9 +77,9 @@ func Lex(input string) ([]Token, error) {
 			word := input[start:i]
 			up := strings.ToUpper(word)
 			if keywords[up] {
-				toks = append(toks, Token{Kind: Keyword, Text: up, Pos: start, Line: line})
+				toks = append(toks, Token{Kind: Keyword, Text: up, Pos: start, End: i, Line: line})
 			} else {
-				toks = append(toks, Token{Kind: Ident, Text: word, Pos: start, Line: line})
+				toks = append(toks, Token{Kind: Ident, Text: word, Pos: start, End: i, Line: line})
 			}
 		case c >= '0' && c <= '9':
 			start := i
@@ -108,7 +111,7 @@ func Lex(input string) ([]Token, error) {
 			if isFloat {
 				kind = Float
 			}
-			toks = append(toks, Token{Kind: kind, Text: input[start:i], Pos: start, Line: line})
+			toks = append(toks, Token{Kind: kind, Text: input[start:i], Pos: start, End: i, Line: line})
 		case c == '\'':
 			start := i
 			i++
@@ -134,7 +137,7 @@ func Lex(input string) ([]Token, error) {
 			if !closed {
 				return nil, fmt.Errorf("lexer: unterminated string literal at line %d", line)
 			}
-			toks = append(toks, Token{Kind: String, Text: sb.String(), Pos: start, Line: line})
+			toks = append(toks, Token{Kind: String, Text: sb.String(), Pos: start, End: i, Line: line})
 		default:
 			// multi-char symbols first
 			two := ""
@@ -143,20 +146,20 @@ func Lex(input string) ([]Token, error) {
 			}
 			switch two {
 			case "<>", "<=", ">=", "!=", "||":
-				toks = append(toks, Token{Kind: Symbol, Text: two, Pos: i, Line: line})
+				toks = append(toks, Token{Kind: Symbol, Text: two, Pos: i, End: i + 2, Line: line})
 				i += 2
 				continue
 			}
 			switch c {
 			case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';', '?':
-				toks = append(toks, Token{Kind: Symbol, Text: string(c), Pos: i, Line: line})
+				toks = append(toks, Token{Kind: Symbol, Text: string(c), Pos: i, End: i + 1, Line: line})
 				i++
 			default:
 				return nil, fmt.Errorf("lexer: unexpected character %q at line %d", c, line)
 			}
 		}
 	}
-	toks = append(toks, Token{Kind: EOF, Pos: n, Line: line})
+	toks = append(toks, Token{Kind: EOF, Pos: n, End: n, Line: line})
 	return toks, nil
 }
 

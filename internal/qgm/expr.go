@@ -26,7 +26,8 @@ type Const struct {
 // what lets one compiled plan serve every execution of a prepared
 // statement.
 type Placeholder struct {
-	Idx int
+	Idx  int
+	Type types.Type // NullType when unknown until binding (see ast.Placeholder)
 }
 
 // ColRef reads column Ord of the row bound to quantifier Q.
@@ -286,6 +287,8 @@ func ExprType(e Expr) types.Type {
 	switch n := e.(type) {
 	case *Const:
 		return n.V.T
+	case *Placeholder:
+		return n.Type
 	case *ColRef:
 		if n.Q != nil && n.Q.Input != nil && n.Ord < len(n.Q.Input.Head) {
 			return n.Q.Input.Head[n.Ord].Type

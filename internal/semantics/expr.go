@@ -18,9 +18,10 @@ func (b *Builder) buildExpr(e ast.Expr, sc *scope) (qgm.Expr, error) {
 		return &qgm.Const{V: n.Value}, nil
 
 	case *ast.Placeholder:
-		// The placeholder's type is unknown until binding; it compares
-		// freely like a NULL literal (checkBinOpTypes).
-		return &qgm.Placeholder{Idx: n.Idx}, nil
+		// A caller's placeholder has no type until binding and compares
+		// freely like a NULL literal (checkBinOpTypes); one standing in for
+		// a literal carries the literal's type.
+		return &qgm.Placeholder{Idx: n.Idx, Type: n.Type}, nil
 
 	case *ast.ColumnRef:
 		if n.Qualifier != "" {

@@ -463,15 +463,6 @@ func (p *vTail) eval(e *env, b *Batch, sel []int) (Vector, error) {
 
 func (p *vTail) String() string { return p.str }
 
-// constOf reports whether x is a constant (literal only — parameters vary
-// per execution) and returns its value.
-func constOf(x VExpr) (types.Value, bool) {
-	if c, ok := x.(*vConst); ok {
-		return c.v, true
-	}
-	return types.Value{}, false
-}
-
 // --- comparison ---
 
 // cmp opcode: index into the comparison dispatch.
@@ -503,9 +494,10 @@ func cmpHolds(opc int, c int) bool {
 	}
 }
 
-// vCmp compares two vectors under three-valued logic. When one side is a
-// literal of a scalar type the per-element loop specializes: the common
-// `col <op> constant` filter runs without per-element type dispatch.
+// vCmp compares two vectors under three-valued logic. When the right side
+// is constant for the execution — a literal or a parameter — the
+// per-element loop specializes: the common `col <op> constant` filter runs
+// without per-element type dispatch.
 type vCmp struct {
 	opc  int
 	l, r VExpr
@@ -558,7 +550,7 @@ func (c *vCmp) evalTri(e *env, b *Batch, sel []int, out []types.TriBool) error {
 	if err != nil {
 		return err
 	}
-	if rc, ok := constOf(c.r); ok {
+	if rc, ok := scalarOf(c.r, e); ok {
 		if rc.T == types.IntType {
 			k := rc.I
 			opc := c.opc

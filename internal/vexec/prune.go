@@ -16,8 +16,11 @@ import (
 // per-segment min/max refute a bound.
 type PruneTerm struct {
 	Col int
-	Opc int   // comparison opcode (opEq … opGe, opIsNull, opIsNotNull)
+	Opc int   // comparison opcode (opEq … opGe, opIsNull, opIsNotNull, opHull)
 	Val VExpr // *vConst, *vParam or *vTail; nil for IS [NOT] NULL terms
+	// Or holds the branches of an opHull term: a disjunction bounded by
+	// parameters, whose hull is folded per execution (see orHullTerms).
+	Or []VExpr
 }
 
 // Pseudo-opcodes for the nullness conjuncts `col IS NULL` / `col IS NOT
@@ -27,6 +30,10 @@ type PruneTerm struct {
 const (
 	opIsNull = iota + len(cmpName)
 	opIsNotNull
+	// opHull is a deferred OR hull: ResolveBounds folds the branches once
+	// the parameter frame is known, into opGe/opLe terms like the ones a
+	// literal disjunction gets at compile time.
+	opHull
 )
 
 // String renders the term for EXPLAIN output.
@@ -36,6 +43,12 @@ func (t PruneTerm) String() string {
 		return fmt.Sprintf("#%d IS NULL", t.Col)
 	case opIsNotNull:
 		return fmt.Sprintf("#%d IS NOT NULL", t.Col)
+	case opHull:
+		parts := make([]string, len(t.Or))
+		for i, br := range t.Or {
+			parts[i] = br.String()
+		}
+		return "HULL(" + strings.Join(parts, " OR ") + ")"
 	}
 	return fmt.Sprintf("#%d %s %s", t.Col, cmpName[t.Opc], t.Val.String())
 }
@@ -54,7 +67,7 @@ func PruneTermsString(terms []PruneTerm) string {
 // conjunct true, so each conjunct prunes independently) and keeps
 // comparisons between a bare scan column and an execution-time scalar.
 // OR-shaped conjuncts contribute their bounding hull when every branch
-// constrains the same column with literal bounds — this covers small IN
+// constrains the same column with scalar bounds — this covers small IN
 // lists (desugared to `col = k1 OR col = k2 …`, hull [min k, max k]) and
 // OR-of-BETWEEN double bounds (each branch desugars to `col >= lo AND
 // col <= hi`, hull [min lo, max hi]). Everything else contributes nothing —
@@ -123,15 +136,16 @@ type colRange struct {
 }
 
 // orHullTerms computes the bounding hull of an OR-shaped conjunct: for each
-// column that every satisfiable branch bounds with literals, the union of
-// the branch intervals yields `col >= min(lo)` and/or `col <= max(hi)`
-// terms. If the OR holds for a row, some branch holds, so the row's value
-// lies inside that branch's interval and hence inside the hull — the hull
-// conjuncts are implied, and pruning on them is sound. Branches that can
-// never be true (a comparison against a NULL literal is Unknown everywhere)
-// drop out of the union. Any branch that fails to bound a column — or uses
-// parameters, whose hull cannot be folded at compile time — disqualifies
-// that column.
+// column that every satisfiable branch bounds, the union of the branch
+// intervals yields `col >= min(lo)` and/or `col <= max(hi)` terms. If the
+// OR holds for a row, some branch holds, so the row's value lies inside
+// that branch's interval and hence inside the hull — the hull conjuncts are
+// implied, and pruning on them is sound. Branches that can never be true (a
+// comparison against NULL is Unknown everywhere) drop out of the union. Any
+// branch that fails to bound a column disqualifies that column. A
+// disjunction bounded by literals only is folded here; one with parameter
+// bounds (an IN list of `?`, or of literals the plan cache lifted) becomes
+// one opHull term that ResolveBounds folds per execution.
 func orHullTerms(o *vOr) []PruneTerm {
 	var branches []VExpr
 	var flatten func(x VExpr) bool
@@ -145,10 +159,59 @@ func orHullTerms(o *vOr) []PruneTerm {
 	if !flatten(o) {
 		return nil
 	}
+	if paramBounded(branches) {
+		return []PruneTerm{{Col: -1, Opc: opHull, Or: branches}}
+	}
+	return foldHull(branches, func(x VExpr) (types.Value, bool) {
+		if c, ok := x.(*vConst); ok {
+			return c.v, true
+		}
+		return types.Value{}, false
+	})
+}
+
+// paramBounded reports whether some branch compares a scan column with a
+// parameter.
+func paramBounded(branches []VExpr) bool {
+	found := false
+	var walk func(x VExpr)
+	walk = func(x VExpr) {
+		switch n := x.(type) {
+		case *vAnd:
+			walk(n.l)
+			walk(n.r)
+		case *vSeqAnd:
+			walk(n.l)
+			walk(n.r)
+		case *vCmp:
+			_, ls := n.l.(*vSlot)
+			_, rs := n.r.(*vSlot)
+			if ls && isParam(n.r) || rs && isParam(n.l) {
+				found = true
+			}
+		}
+	}
+	for _, br := range branches {
+		walk(br)
+	}
+	return found
+}
+
+func isParam(x VExpr) bool {
+	switch x.(type) {
+	case *vParam, *vTail:
+		return true
+	}
+	return false
+}
+
+// foldHull folds the branches' bounds, as resolve evaluates them, into
+// literal hull terms.
+func foldHull(branches []VExpr, resolve func(VExpr) (types.Value, bool)) []PruneTerm {
 	// hull is the running union; nil until the first contributing branch.
 	var hull map[int]*colRange
 	for _, br := range branches {
-		ranges, never := branchRanges(br)
+		ranges, never := branchRanges(br, resolve)
 		if never {
 			continue // branch is always false: it cannot widen the hull
 		}
@@ -203,13 +266,13 @@ func hullComparable(a, b types.Value) bool {
 	return (a.IsNumeric() && b.IsNumeric()) || a.T == b.T
 }
 
-// branchRanges folds the literal column bounds of one OR branch (descending
-// its AND-shaped conjuncts) into per-column intervals. never reports a
-// branch that cannot be true — a comparison against a NULL literal is
-// Unknown on every row. Bounds of incomparable literal types (a string and
-// a number on the same column) abandon that column rather than rely on the
-// sort-order type ranking.
-func branchRanges(x VExpr) (ranges map[int]*colRange, never bool) {
+// branchRanges folds the column bounds of one OR branch (descending its
+// AND-shaped conjuncts) into per-column intervals; resolve gives a bound's
+// value, or false where the bound does not count. never reports a branch
+// that cannot be true — a comparison against NULL is Unknown on every row.
+// Bounds of incomparable types (a string and a number on the same column)
+// abandon that column rather than rely on the sort-order type ranking.
+func branchRanges(x VExpr, resolve func(VExpr) (types.Value, bool)) (ranges map[int]*colRange, never bool) {
 	ranges = make(map[int]*colRange)
 	var walk func(x VExpr)
 	walk = func(x VExpr) {
@@ -227,11 +290,11 @@ func branchRanges(x VExpr) (ranges map[int]*colRange, never bool) {
 			col, opc := -1, n.opc
 			var k types.Value
 			if s, ok := n.l.(*vSlot); ok {
-				if c, isConst := constOf(n.r); isConst {
+				if c, isConst := resolve(n.r); isConst {
 					col, k = s.idx, c
 				}
 			} else if s, ok := n.r.(*vSlot); ok {
-				if c, isConst := constOf(n.l); isConst {
+				if c, isConst := resolve(n.l); isConst {
 					col, k, opc = s.idx, c, flipOpc(n.opc)
 				}
 			}
@@ -294,7 +357,15 @@ func ResolveBounds(terms []PruneTerm, params types.Row) []colstore.ColBound {
 	}
 	e := env{params: params}
 	out := make([]colstore.ColBound, 0, len(terms))
-	for _, t := range terms {
+	for i := 0; i < len(terms); i++ {
+		t := terms[i]
+		if t.Opc == opHull {
+			// Fold the hull now that the parameters are known, and resolve
+			// its literal terms after the others.
+			hull := foldHull(t.Or, func(x VExpr) (types.Value, bool) { return scalarOf(x, &e) })
+			terms = append(terms[:len(terms):len(terms)], hull...)
+			continue
+		}
 		if t.Opc == opIsNull || t.Opc == opIsNotNull {
 			out = append(out, colstore.ColBound{
 				Col:      t.Col,

@@ -25,9 +25,13 @@ func extract(t *testing.T, x exec.Expr) []PruneTerm {
 
 // boundsOf resolves the terms with an empty parameter frame and returns
 // them keyed by column.
-func boundsOf(terms []PruneTerm) map[int][]string {
+func boundsOf(terms []PruneTerm) map[int][]string { return boundsWith(terms, nil) }
+
+// boundsWith resolves the terms against a parameter frame and returns them
+// keyed by column.
+func boundsWith(terms []PruneTerm, params types.Row) map[int][]string {
 	out := make(map[int][]string)
-	for _, b := range ResolveBounds(terms, nil) {
+	for _, b := range ResolveBounds(terms, params) {
 		s := ""
 		if b.HasLo {
 			s += ">=" + b.Lo.String()
@@ -101,10 +105,30 @@ func TestExtractPruneTermsORHull(t *testing.T) {
 		t.Fatalf("mixed-type OR extracted %v", terms)
 	}
 
-	// Parameters cannot be hulled at compile time.
+	// A parameter bound defers the hull to Open: one opHull term, folded
+	// against each execution's frame exactly like a literal disjunction.
 	param := bin("OR", bin("=", slot(0), &exec.Param{Idx: 0, Name: "?1"}), bin("=", slot(0), i(5)))
-	if terms := extract(t, param); len(terms) != 0 {
-		t.Fatalf("parameter OR extracted %v", terms)
+	terms := extract(t, param)
+	if len(terms) != 1 || terms[0].Opc != opHull {
+		t.Fatalf("parameter OR extracted %v, want one deferred hull term", terms)
+	}
+	for _, c := range []struct {
+		arg  types.Value
+		want []string
+	}{
+		{types.NewInt(1), []string{">=1", "<=5"}},
+		{types.NewInt(9), []string{">=5", "<=9"}},
+		{types.Null, []string{">=5", "<=5"}}, // the NULL branch drops out
+		{types.NewString("a"), nil},          // incomparable: no bound
+	} {
+		found := map[string]bool{}
+		got := boundsWith(terms, types.Row{c.arg})[0]
+		for _, s := range got {
+			found[s] = true
+		}
+		if len(got) != len(c.want) || len(c.want) > 0 && (!found[c.want[0]] || !found[c.want[1]]) {
+			t.Fatalf("parameter hull with ?1 = %v: %v, want %v", c.arg, got, c.want)
+		}
 	}
 
 	// Plain conjuncts still extract alongside an OR hull.
