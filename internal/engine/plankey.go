@@ -13,7 +13,7 @@ import (
 // their liftable literals share a key, and so share one compiled plan.
 type normalized struct {
 	// key renders the token stream canonically: one space between tokens,
-	// keywords and identifiers upper-cased, string literals re-quoted, a
+	// keywords and identifiers (ASCII letters) upper-cased, strings re-quoted, a
 	// caller's `?` as "?" and each lifted literal as a typed marker ("?i",
 	// "?f", "?s"), so the literal's type stays part of the key.
 	key string
@@ -109,7 +109,7 @@ func normalize(sql string, lift bool) (normalized, error) {
 		}
 		switch t.Kind {
 		case lexer.Ident:
-			write(strings.ToUpper(t.Text))
+			write(asciiUpper(t.Text))
 		case lexer.String:
 			write("'" + strings.ReplaceAll(t.Text, "'", "''") + "'")
 		case lexer.Symbol:
@@ -178,7 +178,7 @@ func multiRowValues(toks []lexer.Token) bool {
 }
 
 // liftLiteral reads a liftable literal at toks[i]: a number or string
-// token, or a prefix minus sign folded into the number after it. It
+// token, or prefix minus signs folded into the number after them. It
 // returns the literal's value and the index of its last token.
 func liftLiteral(toks []lexer.Token, i int) (types.Value, int, bool) {
 	t := toks[i]
@@ -189,15 +189,18 @@ func liftLiteral(toks []lexer.Token, i int) (types.Value, int, bool) {
 		v, ok := parseNumber(t, false)
 		return v, i, ok
 	case lexer.Symbol:
-		if t.Text != "-" || i+1 >= len(toks) || (i > 0 && endsOperand(toks[i-1])) {
+		if t.Text != "-" || (i > 0 && endsOperand(toks[i-1])) {
 			return types.Value{}, 0, false
 		}
-		num := toks[i+1]
-		if num.Kind != lexer.Int && num.Kind != lexer.Float {
+		j := i // the parser folds a chain of prefix minus signs too
+		for j < len(toks) && toks[j].Kind == lexer.Symbol && toks[j].Text == "-" {
+			j++
+		}
+		if j == len(toks) || toks[j].Kind != lexer.Int && toks[j].Kind != lexer.Float {
 			return types.Value{}, 0, false
 		}
-		v, ok := parseNumber(num, true)
-		return v, i + 1, ok
+		v, ok := parseNumber(toks[j], (j-i)%2 == 1)
+		return v, j, ok
 	}
 	return types.Value{}, 0, false
 }
@@ -231,6 +234,27 @@ func endsOperand(t lexer.Token) bool {
 		return t.Text == "NULL" || t.Text == "TRUE" || t.Text == "FALSE" || t.Text == "END"
 	}
 	return false
+}
+
+// asciiUpper upper-cases the ASCII letters of an identifier and keeps
+// every other byte, so the key never merges two names that differ in
+// bytes strings.ToUpper would fold or replace (invalid UTF-8 becomes
+// U+FFFD there), and it re-lexes as the identifier it came from.
+func asciiUpper(s string) string {
+	i := 0
+	for i < len(s) && !('a' <= s[i] && s[i] <= 'z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	b := []byte(s)
+	for ; i < len(b); i++ {
+		if 'a' <= b[i] && b[i] <= 'z' {
+			b[i] -= 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // placeholderText is the text with each lifted literal replaced by `?`:
