@@ -55,8 +55,8 @@ type Database struct {
 	// statements derive children from it (see resource.go).
 	mem *resource.Accountant
 
-	// plans caches compiled objects: prepared statements keyed by
-	// normalized SQL, and CO views (compilation plus plan templates) keyed
+	// plans caches compiled objects: statements keyed by their shape
+	// (normalizeSQL: literals lifted into the argument frame), and CO views (compilation plus plan templates) keyed
 	// by a reserved prefix and the view name. Entries are validated against
 	// the catalog version and their per-name dependencies (DDL and ANALYZE
 	// bump both).
@@ -104,9 +104,10 @@ type Result struct {
 
 // Exec runs any statement; for queries it returns no rows (use Query).
 // The int result is the number of rows affected by DML. Args bind `?`
-// placeholders; parameterized DML is parse-cached (and INSERT … SELECT
-// keeps its compiled source plan), so repeated Exec of the same text
-// skips that work. Literal one-shot DML is deliberately not cached.
+// placeholders. DML is cached by shape like a query (see Prepare): texts
+// that differ only in their literals share one compiled statement, and
+// INSERT … SELECT keeps its compiled source plan. Multi-row literal
+// INSERT … VALUES, a one-shot bulk load, is not cached.
 func (db *Database) Exec(sql string, args ...types.Value) (int64, error) {
 	stmt, err := db.Prepare(sql)
 	if err != nil {

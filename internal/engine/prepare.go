@@ -484,9 +484,9 @@ func (db *Database) compileEntry(e *entry, parsed ast.Statement) error {
 // defaultPlanCacheCap bounds the number of cached statements per database.
 const defaultPlanCacheCap = 256
 
-// planCache is a concurrent LRU of compiled objects: prepared statements
-// keyed by normalized SQL, and CO views keyed by coKeyPrefix plus the view
-// name (see coView). Entries are validated against the catalog version and
+// planCache is a concurrent LRU of compiled objects: statement plans keyed
+// by their shape (normalizeSQL; Prepare hands out per-text handles over
+// them), and CO views keyed by coKeyPrefix plus the view name (see coView). Entries are validated against the catalog version and
 // the optimizer options they were compiled under; a stale entry is evicted
 // on lookup. Invalidation is per dependency: DDL and ANALYZE bump both the
 // global catalog version and the changed name's own version, and an entry

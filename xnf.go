@@ -20,9 +20,11 @@
 //
 // SQL statements take `?` placeholders, bound per execution. Prepare
 // compiles a statement once into the database's plan cache; executing the
-// prepared statement (or re-running the same SQL text through Query/Exec)
-// skips the parse → semantics → rewrite → optimize pipeline and goes
-// straight to plan execution:
+// prepared statement (or re-running SQL of the same shape through
+// Query/Exec — the cache lifts literals into parameters, so texts that
+// differ only in their literal values share a plan) skips the parse →
+// semantics → rewrite → optimize pipeline and goes straight to plan
+// execution:
 //
 //	stmt, _ := db.Prepare(`SELECT * FROM EMP WHERE edno = ?`)
 //	for _, dno := range deptNos {
@@ -229,8 +231,8 @@ func (db *DB) MustExec(sql string, args ...Value) int64 {
 }
 
 // Prepare compiles a statement once for repeated execution. The compiled
-// plan also lands in the database's shared plan cache, so identical SQL
-// through Query/Exec reuses it too.
+// plan also lands in the database's shared plan cache, so SQL of the same
+// shape (identical up to literal values) through Query/Exec reuses it too.
 func (db *DB) Prepare(sql string) (*Stmt, error) { return db.eng.Prepare(sql) }
 
 // ExecScript runs a semicolon-separated statement list.
