@@ -55,10 +55,8 @@ var litMarker = map[lexer.Kind]string{lexer.Int: "?i", lexer.Float: "?f", lexer.
 // folds it, so `x > -5` binds -5 rather than negating a placeholder.
 func normalizeSQL(sql string) (normalized, error) { return normalize(sql, true) }
 
-// literalSQL is the plan-cache identity of a text with every literal in
-// place: the key of a shape that compiles only with its literals.
-func literalSQL(sql string) (normalized, error) { return normalize(sql, false) }
-
+// normalize is normalizeSQL; with lift unset every literal stays in place,
+// which is the key of a shape that compiles only with its literals.
 func normalize(sql string, lift bool) (normalized, error) {
 	toks, err := lexer.Lex(sql)
 	if err != nil {

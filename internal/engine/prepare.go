@@ -306,7 +306,7 @@ func (db *Database) prepare(sql string) (*Stmt, error) {
 		return db.prepareMiss(sql, n)
 	})
 	if err == nil && e.literal {
-		if n, err = literalSQL(sql); err != nil {
+		if n, err = normalize(sql, false); err != nil {
 			return nil, err
 		}
 		e, err = db.cached(n.key, &db.Metrics.CacheHits, &db.Metrics.CacheMisses, func() (*entry, error) {
