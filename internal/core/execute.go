@@ -20,13 +20,13 @@ type COResult struct {
 
 // PlanTemplates compiles one physical plan per shipped output: the
 // multi-output plan set of the paper's Sect. 5.1 in reusable template form.
-// Templates carry no execution state of their own but plans hold iterator
-// state in their nodes, so every execution must run private clones —
-// Open does that. The engine caches templates with the compilation in its
-// statement plan cache, and with vectorization enabled each leg's
-// scan→filter→project pipeline is lowered to the batch engine. A recursive
-// CO's outputs are fixpoint plans over its spooled local sets. Entries are
-// nil only for derived relationships, which ship nothing.
+// Each template is a handle over an immutable compiled root, which every
+// execution runs in place through a handle of its own — Open takes those.
+// The engine caches templates with the compilation in its statement plan
+// cache, and with vectorization enabled each leg's scan→filter→project
+// pipeline is lowered to the batch engine. A recursive CO's outputs are
+// fixpoint plans over its spooled local sets. Entries are nil only for
+// derived relationships, which ship nothing.
 func (c *Compiled) PlanTemplates(store *storage.Store, opts opt.Options) ([]exec.Plan, error) {
 	comp := opt.NewCompiler(store, c.Graph, opts)
 	if c.fix != nil {
@@ -37,11 +37,11 @@ func (c *Compiled) PlanTemplates(store *storage.Store, opts opt.Options) ([]exec
 		if out.Box == nil {
 			continue // derived relationship: nothing shipped
 		}
-		plan, err := comp.CompileOutput(out.Box)
+		root, err := comp.CompileOutput(out.Box)
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling output %s: %w", out.Name, err)
 		}
-		plans[i] = plan
+		plans[i] = exec.NewPlan(root)
 	}
 	return plans, nil
 }
@@ -61,7 +61,7 @@ func (c *Compiled) PlanTemplates(store *storage.Store, opts opt.Options) ([]exec
 type COStream struct {
 	outputs []Output
 	ctx     *exec.Ctx
-	plans   []exec.Plan // private clones; nil where nothing is shipped
+	plans   []exec.Plan // this stream's handles; nil where nothing is shipped
 	idx     int         // output currently being drained
 	opened  bool        // plans[idx] is open
 	done    bool
@@ -70,25 +70,22 @@ type COStream struct {
 
 // Open starts the CO over ctx, which the stream owns from here on: its
 // memory accountant is closed with the stream (or at once, when Open
-// fails). templates are shared plan templates from PlanTemplates — each is
-// cloned, so concurrent streams may share them; nil compiles fresh plans
-// under opts.
+// fails). templates are shared plan templates from PlanTemplates; the
+// stream runs their compiled roots in place through handles of its own,
+// so concurrent streams may share them. nil compiles fresh plans under
+// opts.
 func (c *Compiled) Open(ctx *exec.Ctx, templates []exec.Plan, opts opt.Options) (*COStream, error) {
-	s := &COStream{outputs: c.Outputs, ctx: ctx}
 	if templates == nil {
-		// Freshly compiled plans are private to this stream: no clone needed.
-		plans, err := c.PlanTemplates(ctx.Store, opts)
-		if err != nil {
+		var err error
+		if templates, err = c.PlanTemplates(ctx.Store, opts); err != nil {
 			ctx.Mem.Close()
 			return nil, err
 		}
-		s.plans = plans
-		return s, nil
 	}
-	s.plans = make([]exec.Plan, len(templates))
+	s := &COStream{outputs: c.Outputs, ctx: ctx, plans: make([]exec.Plan, len(templates))}
 	for i, p := range templates {
 		if p != nil {
-			s.plans[i] = exec.ClonePlan(p)
+			s.plans[i] = exec.NewPlan(p.Root())
 		}
 	}
 	return s, nil
@@ -173,7 +170,7 @@ func (s *COStream) fail(err error) error {
 	return s.err
 }
 
-// shutdown closes the currently open plan (never-opened clones hold no
+// shutdown closes the currently open plan (never-opened handles hold no
 // resources and are simply dropped) and the stream's accountant.
 func (s *COStream) shutdown() {
 	if s.done {

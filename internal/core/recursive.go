@@ -132,7 +132,7 @@ func (s *localSet) kind() string {
 // fixpointPlan over every local set, each set behind a spool so it
 // materializes once per execution context whichever output opens first.
 func (f *fixpoint) templates(comp *opt.Compiler) ([]exec.Plan, error) {
-	inputs := make([]exec.Plan, len(f.sets))
+	inputs := make([]exec.Node, len(f.sets))
 	for i, s := range f.sets {
 		plan, _, err := comp.CompileBox(s.box, nil)
 		if err != nil {
@@ -148,7 +148,7 @@ func (f *fixpoint) templates(comp *opt.Compiler) ([]exec.Plan, error) {
 	}
 	plans := make([]exec.Plan, len(f.outSet))
 	for i, set := range f.outSet {
-		plans[i] = &fixpointPlan{fix: f, set: set, inputs: inputs}
+		plans[i] = exec.NewPlan(&fixpointPlan{fix: f, set: set, inputs: inputs})
 	}
 	return plans, nil
 }
@@ -157,7 +157,7 @@ func (f *fixpoint) templates(comp *opt.Compiler) ([]exec.Plan, error) {
 // reachability along the connections and returns, per local set, its rows
 // that belong to the CO in local order: reached components, and
 // connections whose parent was reached.
-func (f *fixpoint) run(ctx *exec.Ctx, inputs []exec.Plan) ([][]types.Row, error) {
+func (f *fixpoint) run(ctx *exec.Ctx, inputs []exec.Node) ([][]types.Row, error) {
 	local := make([][]types.Row, len(inputs))
 	for i, in := range inputs {
 		rows, err := exec.Collect(ctx, in)
@@ -247,42 +247,23 @@ func (f *fixpoint) run(ctx *exec.Ctx, inputs []exec.Plan) ([][]types.Row, error)
 type fixpointPlan struct {
 	fix    *fixpoint
 	set    int
-	inputs []exec.Plan
-
-	rows []types.Row
-	pos  int
+	inputs []exec.Node
 }
 
-// Open implements exec.Plan.
-func (p *fixpointPlan) Open(ctx *exec.Ctx, _ types.Row) error {
+// Open implements exec.Node.
+func (p *fixpointPlan) Open(ctx *exec.Ctx, _ types.Row) (exec.Iter, error) {
 	key := exec.OnceKey{Kind: "fixpoint", ID: p.fix.sets[0].box.ID}
 	sets, err := ctx.Once(key, func() (any, error) { return p.fix.run(ctx, p.inputs) })
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.rows, p.pos = sets.([][]types.Row)[p.set], 0
-	return nil
+	return exec.Replay(sets.([][]types.Row)[p.set]), nil
 }
 
-// Next implements exec.Plan.
-func (p *fixpointPlan) Next(*exec.Ctx) (types.Row, error) {
-	if p.pos >= len(p.rows) {
-		return nil, nil
-	}
-	p.pos++
-	return p.rows[p.pos-1], nil
-}
-
-// Close implements exec.Plan.
-func (p *fixpointPlan) Close(*exec.Ctx) error {
-	p.rows = nil
-	return nil
-}
-
-// Columns implements exec.Plan.
+// Columns implements exec.Node.
 func (p *fixpointPlan) Columns() []exec.Column { return p.inputs[p.set].Columns() }
 
-// Explain implements exec.Plan: the output's local set, then every local
+// Explain implements exec.Node: the output's local set, then every local
 // set the fixpoint reads.
 func (p *fixpointPlan) Explain(indent int) string {
 	pad := strings.Repeat("  ", indent)
@@ -292,13 +273,4 @@ func (p *fixpointPlan) Explain(indent int) string {
 		fmt.Fprintf(&b, "%s  %s\n%s", pad, p.fix.sets[i].kind(), in.Explain(indent+2))
 	}
 	return b.String()
-}
-
-// CloneWith implements exec.SelfCloner; the fixpoint definition is shared.
-func (p *fixpointPlan) CloneWith(cloneChild func(exec.Plan) exec.Plan) exec.Plan {
-	inputs := make([]exec.Plan, len(p.inputs))
-	for i, in := range p.inputs {
-		inputs[i] = cloneChild(in)
-	}
-	return &fixpointPlan{fix: p.fix, set: p.set, inputs: inputs}
 }

@@ -39,9 +39,9 @@ func (db *Database) compileInsertRows(s *ast.InsertStmt) ([][]exec.Expr, []strin
 }
 
 // execInsertWith runs an INSERT; plan, when non-nil, is the prepared
-// compiled template of s.Select and is cloned instead of recompiled;
+// compiled plan of s.Select, which runs in place instead of recompiling;
 // valueRows, when non-nil, are the precompiled VALUES expressions.
-func (db *Database) execInsertWith(s *ast.InsertStmt, args types.Row, plan exec.Plan, valueRows [][]exec.Expr) (int64, error) {
+func (db *Database) execInsertWith(s *ast.InsertStmt, args types.Row, plan exec.Node, valueRows [][]exec.Expr) (int64, error) {
 	t, ok := db.cat.Table(s.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown table %s", s.Table)
@@ -65,13 +65,11 @@ func (db *Database) execInsertWith(s *ast.InsertStmt, args types.Row, plan exec.
 	var sourceRows []types.Row
 	if s.Select != nil {
 		if plan == nil {
-			compiled, err := db.CompileSelect(s.Select)
+			compiled, _, err := db.compileSelectDeps(s.Select)
 			if err != nil {
 				return 0, err
 			}
 			plan = compiled
-		} else {
-			plan = exec.ClonePlan(plan)
 		}
 		rows, err := exec.CollectWith(exec.NewCtx(db.store), plan, args)
 		if err != nil {
@@ -91,7 +89,7 @@ func (db *Database) execInsertWith(s *ast.InsertStmt, args types.Row, plan exec.
 		for _, exprRow := range valueRows {
 			row := make(types.Row, len(exprRow))
 			for i, ce := range exprRow {
-				v, err := exec.CloneExpr(ce).Eval(&env)
+				v, err := ce.Eval(&env)
 				if err != nil {
 					return 0, err
 				}
@@ -151,8 +149,8 @@ func (db *Database) compileConstExpr(e ast.Expr) (exec.Expr, []string, error) {
 // statements cache one per catalog version (Revalidate recompiles after
 // DDL/ANALYZE), so repeated executions skip semantic analysis entirely —
 // the mutation analog of the SELECT plan cache. The expressions are
-// immutable except for embedded subplans, which CloneExpr rebuilds per
-// execution.
+// immutable, embedded subplans included, so concurrent executions share
+// them.
 type compiledMutation struct {
 	pred exec.Expr // nil = every row qualifies
 	sets []compiledSet
@@ -253,16 +251,11 @@ func (db *Database) execUpdate(s *ast.UpdateStmt, args types.Row) (int64, error)
 	return db.runUpdate(s, mut, args)
 }
 
-// runUpdate applies a compiled UPDATE. Predicate and assignments are
-// cloned per run so a cached mutation stays safe under concurrency.
+// runUpdate applies a compiled UPDATE.
 func (db *Database) runUpdate(s *ast.UpdateStmt, mut *compiledMutation, args types.Row) (int64, error) {
-	rids, rows, err := db.mutationTargets(s.Table, exec.CloneExpr(mut.pred), args)
+	rids, rows, err := db.mutationTargets(s.Table, mut.pred, args)
 	if err != nil {
 		return 0, err
-	}
-	sets := make([]compiledSet, len(mut.sets))
-	for i, sc := range mut.sets {
-		sets[i] = compiledSet{ord: sc.ord, expr: exec.CloneExpr(sc.expr)}
 	}
 	ctx := exec.NewCtx(db.store)
 	env := exec.Env{Ctx: ctx, Params: args}
@@ -271,7 +264,7 @@ func (db *Database) runUpdate(s *ast.UpdateStmt, mut *compiledMutation, args typ
 		old := rows[i]
 		env.Row = old
 		updated := old.Clone()
-		for _, sc := range sets {
+		for _, sc := range mut.sets {
 			v, err := sc.expr.Eval(&env)
 			if err != nil {
 				tx.Rollback()
@@ -300,7 +293,7 @@ func (db *Database) execDelete(s *ast.DeleteStmt, args types.Row) (int64, error)
 
 // runDelete applies a compiled DELETE.
 func (db *Database) runDelete(s *ast.DeleteStmt, mut *compiledMutation, args types.Row) (int64, error) {
-	rids, _, err := db.mutationTargets(s.Table, exec.CloneExpr(mut.pred), args)
+	rids, _, err := db.mutationTargets(s.Table, mut.pred, args)
 	if err != nil {
 		return 0, err
 	}

@@ -195,7 +195,7 @@ func firstWords(s string, n int) string {
 // Query compiles and runs a SELECT, returning the materialized result.
 // Args bind `?` placeholders. Plans are served from the shared plan cache:
 // the first execution of a statement text compiles it, later executions
-// (from any goroutine) clone the cached plan and run immediately.
+// (from any goroutine) run the cached plan in place.
 func (db *Database) Query(sql string, args ...types.Value) (*Result, error) {
 	stmt, err := db.Prepare(sql)
 	if err != nil {
@@ -206,7 +206,7 @@ func (db *Database) Query(sql string, args ...types.Value) (*Result, error) {
 
 // QueryStmt compiles and runs a parsed SELECT.
 func (db *Database) QueryStmt(sel *ast.SelectStmt) (*Result, error) {
-	plan, err := db.CompileSelect(sel)
+	plan, _, err := db.compileSelectDeps(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -219,16 +219,19 @@ func (db *Database) QueryStmt(sel *ast.SelectStmt) (*Result, error) {
 }
 
 // CompileSelect runs the full compile pipeline for a SELECT and returns
-// the physical plan.
+// an execution handle over the compiled plan.
 func (db *Database) CompileSelect(sel *ast.SelectStmt) (exec.Plan, error) {
 	plan, _, err := db.compileSelectDeps(sel)
-	return plan, err
+	if err != nil {
+		return nil, err
+	}
+	return exec.NewPlan(plan), nil
 }
 
-// compileSelectDeps is CompileSelect plus the catalog names (tables and
-// views) the query resolved against, which the plan cache uses for
-// per-dependency invalidation.
-func (db *Database) compileSelectDeps(sel *ast.SelectStmt) (exec.Plan, []string, error) {
+// compileSelectDeps compiles a SELECT to its plan root plus the catalog
+// names (tables and views) the query resolved against, which the plan
+// cache uses for per-dependency invalidation.
+func (db *Database) compileSelectDeps(sel *ast.SelectStmt) (exec.Node, []string, error) {
 	db.Metrics.Compiles.Add(1)
 	g, err := semantics.BuildSelect(db.cat, sel)
 	if err != nil {
@@ -243,7 +246,7 @@ func (db *Database) compileSelectDeps(sel *ast.SelectStmt) (exec.Plan, []string,
 	if err != nil {
 		return nil, nil, err
 	}
-	return plan, g.Deps, nil
+	return plan.Root(), g.Deps, nil
 }
 
 // Explain returns the physical plan text for a SELECT.
@@ -256,7 +259,7 @@ func (db *Database) Explain(sql string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("engine: EXPLAIN requires a SELECT statement")
 	}
-	plan, err := db.CompileSelect(sel)
+	plan, _, err := db.compileSelectDeps(sel)
 	if err != nil {
 		return "", err
 	}

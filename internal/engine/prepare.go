@@ -55,7 +55,8 @@ type Metrics struct {
 // same shape: the handle holds the caller's text and the literals lifted
 // out of it (see normalizeSQL), and binds them together with the caller's
 // arguments at each execution. A Stmt is immutable after Prepare and safe
-// for concurrent use; every execution runs a private clone of the plan.
+// for concurrent use; every execution runs the shared compiled plan in
+// place, with iterators of its own.
 type Stmt struct {
 	*entry
 	text    string // the caller's SQL
@@ -76,7 +77,7 @@ type entry struct {
 	optOpts    opt.Options
 	rwOpts     rewrite.Options
 	sel        *ast.SelectStmt // non-nil for SELECT
-	plan       exec.Plan       // compiled template (SELECT only)
+	plan       exec.Node       // compiled plan (SELECT and INSERT … SELECT)
 	cols       []exec.Column
 	other      ast.Statement     // non-nil for everything else
 	mut        *compiledMutation // compiled UPDATE/DELETE predicate+assignments
@@ -688,9 +689,10 @@ func (db *Database) coView(name string) (*entry, error) {
 }
 
 // CompileCOView returns the compiled form of a stored CO view from the plan
-// cache. core.Compiled is read-only after compilation (every stream runs
-// private plan clones), so one compilation serves concurrent QueryCO and
-// wire checkout callers.
+// cache. core.Compiled and its plan templates are read-only after
+// compilation (every stream runs them in place through handles of its
+// own), so one compilation serves concurrent QueryCO and wire checkout
+// callers.
 func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
 	st, err := db.coView(name)
 	if err != nil {
@@ -700,8 +702,8 @@ func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
 }
 
 // StreamCOView opens the one CO executor over a stored CO view. The
-// compilation and plan templates come from the plan cache; only plan
-// cloning and execution happen per call, lazily as the consumer pulls.
+// compilation and plan templates come from the plan cache; only execution
+// happens per call, lazily as the consumer pulls.
 // Memory reservations charge the session accountant carried by ctx
 // (WithMem), or the process accountant; ctx cancellation aborts the stream
 // at the next batch boundary.

@@ -199,7 +199,7 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...types.Value) (*Rows
 	if parent == nil {
 		parent = s.db.mem
 	}
-	plan := exec.ClonePlan(s.plan)
+	plan := exec.NewPlan(s.plan)
 	ectx := exec.NewCtx(s.db.store)
 	ectx.Mem = parent.Child("statement", 0)
 	ectx.Interrupt = ctx.Err

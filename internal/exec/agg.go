@@ -21,13 +21,10 @@ type AggSpec struct {
 // expressions it is a global aggregate producing exactly one row even for
 // empty input (SQL semantics).
 type AggPlan struct {
-	Child  Plan
+	Child  Node
 	Groups []Expr
 	Aggs   []AggSpec
 	Cols   []Column
-
-	out []types.Row
-	pos int
 }
 
 // AggState accumulates one aggregate for one group: the SQL folding rules
@@ -278,11 +275,24 @@ func (s *AggState) Result() types.Value {
 	}
 }
 
-// Open implements Plan; the aggregation is computed eagerly.
-func (a *AggPlan) Open(ctx *Ctx, params types.Row) error {
-	if err := a.Child.Open(ctx, params); err != nil {
-		return err
+// Open implements Node; the aggregation is computed eagerly.
+func (a *AggPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	child, err := a.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
 	}
+	out, err := a.fold(ctx, child, params)
+	if cerr := child.Close(ctx); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return Replay(out), nil
+}
+
+// fold drains the child into per-group states and returns the output rows.
+func (a *AggPlan) fold(ctx *Ctx, child Iter, params types.Row) ([]types.Row, error) {
 	env := Env{Params: params, Ctx: ctx}
 	type group struct {
 		key    types.Row
@@ -298,9 +308,9 @@ func (a *AggPlan) Open(ctx *Ctx, params types.Row) error {
 		return states
 	}
 	for {
-		row, err := a.Child.Next(ctx)
+		row, err := child.Next(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if row == nil {
 			break
@@ -310,7 +320,7 @@ func (a *AggPlan) Open(ctx *Ctx, params types.Row) error {
 		for i, g := range a.Groups {
 			v, err := g.Eval(&env)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			key[i] = v
 		}
@@ -332,53 +342,33 @@ func (a *AggPlan) Open(ctx *Ctx, params types.Row) error {
 			if !spec.Star {
 				val, err := spec.Arg.Eval(&env)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				v = val
 			}
 			grp.states[i].Add(v)
 		}
 	}
-	if err := a.Child.Close(ctx); err != nil {
-		return err
-	}
 	if len(order) == 0 && len(a.Groups) == 0 {
 		// Global aggregate over empty input yields one row.
 		order = append(order, &group{states: newStates()})
 	}
-	a.out = a.out[:0]
+	out := make([]types.Row, 0, len(order))
 	for _, g := range order {
 		row := make(types.Row, 0, len(g.key)+len(g.states))
 		row = append(row, g.key...)
 		for _, st := range g.states {
 			row = append(row, st.Result())
 		}
-		a.out = append(a.out, row)
+		out = append(out, row)
 	}
-	a.pos = 0
-	return nil
+	return out, nil
 }
 
-// Next implements Plan.
-func (a *AggPlan) Next(*Ctx) (types.Row, error) {
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	r := a.out[a.pos]
-	a.pos++
-	return r, nil
-}
-
-// Close implements Plan.
-func (a *AggPlan) Close(*Ctx) error {
-	a.out = nil
-	return nil
-}
-
-// Columns implements Plan.
+// Columns implements Node.
 func (a *AggPlan) Columns() []Column { return a.Cols }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (a *AggPlan) Explain(indent int) string {
 	gs := make([]string, len(a.Groups))
 	for i, g := range a.Groups {

@@ -32,7 +32,7 @@ func testStore(t testing.TB) *storage.Store {
 	return s
 }
 
-func collect(t *testing.T, s *storage.Store, p Plan) []types.Row {
+func collect(t *testing.T, s *storage.Store, p Node) []types.Row {
 	t.Helper()
 	rows, err := Collect(NewCtx(s), p)
 	if err != nil {
@@ -213,14 +213,14 @@ func TestAggMinStringAllocFree(t *testing.T) {
 
 func TestUnionPlan(t *testing.T) {
 	s := testStore(t)
-	proj := func() Plan {
+	proj := func() Node {
 		return &ProjectPlan{Child: scanT(), Exprs: []Expr{&Slot{Idx: 1}}, Cols: []Column{{Name: "b"}}}
 	}
-	all := &UnionPlan{Children: []Plan{proj(), proj()}}
+	all := &UnionPlan{Children: []Node{proj(), proj()}}
 	if rows := collect(t, s, all); len(rows) != 10 {
 		t.Fatalf("union all = %d", len(rows))
 	}
-	dist := &UnionPlan{Children: []Plan{proj(), proj()}, Distinct: true}
+	dist := &UnionPlan{Children: []Node{proj(), proj()}, Distinct: true}
 	if rows := collect(t, s, dist); len(rows) != 2 {
 		t.Fatalf("union distinct = %d", len(rows))
 	}
@@ -229,7 +229,7 @@ func TestUnionPlan(t *testing.T) {
 func TestSpoolSharing(t *testing.T) {
 	s := testStore(t)
 	ctx := NewCtx(s)
-	mk := func() Plan { return &SpoolPlan{ID: 7, Child: scanT()} }
+	mk := func() Node { return &SpoolPlan{ID: 7, Child: scanT()} }
 	p1, p2 := mk(), mk()
 	r1, err := Collect(ctx, p1)
 	if err != nil {
@@ -331,14 +331,14 @@ func TestIndexLookupPlan(t *testing.T) {
 }
 
 func TestExplainNonEmpty(t *testing.T) {
-	plans := []Plan{
+	plans := []Node{
 		scanT(),
 		&FilterPlan{Child: scanT(), Pred: &Const{V: types.NewBool(true)}},
 		&NLJoinPlan{Left: scanT(), Right: scanT()},
 		&HashJoinPlan{Left: scanT(), Right: scanT(), LeftKeys: []Expr{&Slot{Idx: 0}}, RightKeys: []Expr{&Slot{Idx: 0}}},
 		&AggPlan{Child: scanT(), Aggs: []AggSpec{{Name: "COUNT", Star: true}}},
 		&SortPlan{Child: scanT(), Keys: []Expr{&Slot{Idx: 0}}},
-		&UnionPlan{Children: []Plan{scanT(), scanT()}},
+		&UnionPlan{Children: []Node{scanT(), scanT()}},
 		&SpoolPlan{ID: 1, Child: scanT()},
 		&LimitPlan{Child: scanT(), N: 1},
 		&DistinctPlan{Child: scanT()},

@@ -298,3 +298,31 @@ func AndExprs(preds []Expr) Expr {
 	}
 	return out
 }
+
+// ExprHasSubplan reports whether the expression tree embeds a Subplan.
+// The batch lowering pass refuses such expressions: subplans run through
+// the row executor.
+func ExprHasSubplan(e Expr) bool {
+	switch n := e.(type) {
+	case *Subplan:
+		return true
+	case *Bin:
+		return ExprHasSubplan(n.L) || ExprHasSubplan(n.R)
+	case *Un:
+		return ExprHasSubplan(n.X)
+	case *ScalarFunc:
+		for _, a := range n.Args {
+			if ExprHasSubplan(a) {
+				return true
+			}
+		}
+	case *CaseExpr:
+		for _, w := range n.Whens {
+			if ExprHasSubplan(w.Cond) || ExprHasSubplan(w.Result) {
+				return true
+			}
+		}
+		return ExprHasSubplan(n.Else)
+	}
+	return false
+}

@@ -12,31 +12,33 @@ import (
 // is how correlated access paths (index lookups keyed by the outer row)
 // receive their bindings.
 type NLJoinPlan struct {
-	Left, Right Plan
+	Left, Right Node
 	Pred        Expr // evaluated over the concatenated row
 	// RightParams, when non-nil, are evaluated against the current left
 	// row and passed as the right subtree's parameter frame (appended to
 	// the incoming frame). When nil the right side is re-opened with the
 	// incoming frame unchanged.
 	RightParams []Expr
-
-	params  types.Row
-	curLeft types.Row
-	opened  bool
-	iter    int
 }
 
-// Open implements Plan.
-func (j *NLJoinPlan) Open(ctx *Ctx, params types.Row) error {
-	j.params = params
-	j.curLeft = nil
-	j.opened = false
-	j.iter = 0
-	return j.Left.Open(ctx, params)
+// Open implements Node.
+func (j *NLJoinPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	left, err := j.Left.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &nlJoinIter{node: j, left: left, params: params}, nil
 }
 
-// Next implements Plan.
-func (j *NLJoinPlan) Next(ctx *Ctx) (types.Row, error) {
+type nlJoinIter struct {
+	node        *NLJoinPlan
+	left, right Iter
+	params      types.Row
+	curLeft     types.Row
+	iter        int
+}
+
+func (j *nlJoinIter) Next(ctx *Ctx) (types.Row, error) {
 	env := Env{Params: j.params, Ctx: ctx}
 	for {
 		// The scans under a cross join are often spooled (materialized
@@ -50,20 +52,17 @@ func (j *NLJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 			}
 		}
 		if j.curLeft == nil {
-			left, err := j.Left.Next(ctx)
-			if err != nil {
+			left, err := j.left.Next(ctx)
+			if err != nil || left == nil {
 				return nil, err
-			}
-			if left == nil {
-				return nil, nil
 			}
 			j.curLeft = left
 			rp := j.params
-			if j.RightParams != nil {
+			if j.node.RightParams != nil {
 				env.Row = left
-				frame := make(types.Row, 0, len(j.params)+len(j.RightParams))
+				frame := make(types.Row, 0, len(j.params)+len(j.node.RightParams))
 				frame = append(frame, j.params...)
-				for _, e := range j.RightParams {
+				for _, e := range j.node.RightParams {
 					v, err := e.Eval(&env)
 					if err != nil {
 						return nil, err
@@ -72,17 +71,20 @@ func (j *NLJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 				}
 				rp = frame
 			}
-			if j.opened {
-				if err := j.Right.Close(ctx); err != nil {
+			if j.right != nil {
+				right := j.right
+				j.right = nil
+				if err := right.Close(ctx); err != nil {
 					return nil, err
 				}
 			}
-			if err := j.Right.Open(ctx, rp); err != nil {
+			right, err := j.node.Right.Open(ctx, rp)
+			if err != nil {
 				return nil, err
 			}
-			j.opened = true
+			j.right = right
 		}
-		right, err := j.Right.Next(ctx)
+		right, err := j.right.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +94,7 @@ func (j *NLJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 		}
 		joined := j.curLeft.Concat(right)
 		env.Row = joined
-		ok, err := EvalPred(j.Pred, &env)
+		ok, err := EvalPred(j.node.Pred, &env)
 		if err != nil {
 			return nil, err
 		}
@@ -102,27 +104,14 @@ func (j *NLJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 	}
 }
 
-// Close implements Plan.
-func (j *NLJoinPlan) Close(ctx *Ctx) error {
-	var first error
-	if err := j.Left.Close(ctx); err != nil {
-		first = err
-	}
-	if j.opened {
-		if err := j.Right.Close(ctx); err != nil && first == nil {
-			first = err
-		}
-		j.opened = false
-	}
-	return first
-}
+func (j *nlJoinIter) Close(ctx *Ctx) error { return closeAll(ctx, j.left, j.right) }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (j *NLJoinPlan) Columns() []Column {
 	return append(append([]Column{}, j.Left.Columns()...), j.Right.Columns()...)
 }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (j *NLJoinPlan) Explain(indent int) string {
 	p := ""
 	if j.Pred != nil {
@@ -143,64 +132,68 @@ func (j *NLJoinPlan) Explain(indent int) string {
 // HashJoinPlan is an equi-join: the right (build) side is hashed on its
 // keys, the left (probe) side streams.
 type HashJoinPlan struct {
-	Left, Right Plan
+	Left, Right Node
 	LeftKeys    []Expr // over left rows
 	RightKeys   []Expr // over right rows
 	Residual    Expr   // over concatenated rows
-
-	params  types.Row
-	table   map[uint64][]types.Row
-	curLeft types.Row
-	curKey  types.Row
-	bucket  []types.Row
-	bpos    int
 }
 
-// Open implements Plan.
-func (j *HashJoinPlan) Open(ctx *Ctx, params types.Row) error {
-	j.params = params
-	j.curLeft = nil
-	j.bucket = nil
-	j.table = make(map[uint64][]types.Row)
-	if err := j.Right.Open(ctx, params); err != nil {
-		return err
+// Open implements Node: the build side is hashed eagerly, then the probe
+// side is opened.
+func (j *HashJoinPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	right, err := j.Right.Open(ctx, params)
+	if err != nil {
+		return nil, err
 	}
+	it := &hashJoinIter{node: j, params: params, table: make(map[uint64][]types.Row)}
 	env := Env{Params: params, Ctx: ctx}
 	built := int64(0)
 	for {
-		row, err := j.Right.Next(ctx)
+		row, err := right.Next(ctx)
 		if err != nil {
-			return err
+			right.Close(ctx)
+			return nil, err
 		}
 		if row == nil {
 			break
 		}
 		env.Row = row
-		key := make(types.Row, len(j.RightKeys))
-		null := false
-		for i, k := range j.RightKeys {
-			v, err := k.Eval(&env)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				null = true
-			}
-			key[i] = v
+		key, null, err := evalKey(j.RightKeys, &env)
+		if err != nil {
+			right.Close(ctx)
+			return nil, err
 		}
 		if null {
 			continue // NULL keys never join
 		}
 		h := hashKey(key)
-		j.table[h] = append(j.table[h], append(key, row...))
+		it.table[h] = append(it.table[h], append(key, row...))
 		built++
 	}
 	add(&ctx.Counters.HashBuilds, 1)
 	add(&ctx.Counters.JoinBuildRows, built)
-	if err := j.Right.Close(ctx); err != nil {
-		return err
+	if err := right.Close(ctx); err != nil {
+		return nil, err
 	}
-	return j.Left.Open(ctx, params)
+	if it.left, err = j.Left.Open(ctx, params); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// evalKey evaluates join or subplan key expressions; null reports a NULL
+// among the values.
+func evalKey(keys []Expr, env *Env) (key types.Row, null bool, err error) {
+	key = make(types.Row, len(keys))
+	for i, k := range keys {
+		v, err := k.Eval(env)
+		if err != nil {
+			return nil, false, err
+		}
+		null = null || v.IsNull()
+		key[i] = v
+	}
+	return key, null, nil
 }
 
 func hashKey(key types.Row) uint64 {
@@ -211,10 +204,20 @@ func hashKey(key types.Row) uint64 {
 	return key.Hash(ords)
 }
 
-// Next implements Plan.
-func (j *HashJoinPlan) Next(ctx *Ctx) (types.Row, error) {
+type hashJoinIter struct {
+	node    *HashJoinPlan
+	left    Iter
+	params  types.Row
+	table   map[uint64][]types.Row
+	curLeft types.Row
+	curKey  types.Row
+	bucket  []types.Row
+	bpos    int
+}
+
+func (j *hashJoinIter) Next(ctx *Ctx) (types.Row, error) {
 	env := Env{Params: j.params, Ctx: ctx}
-	nkeys := len(j.RightKeys)
+	nkeys := len(j.node.RightKeys)
 	for {
 		for j.bpos < len(j.bucket) {
 			entry := j.bucket[j.bpos]
@@ -225,7 +228,7 @@ func (j *HashJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 			}
 			joined := j.curLeft.Concat(erow)
 			env.Row = joined
-			ok, err := EvalPred(j.Residual, &env)
+			ok, err := EvalPred(j.node.Residual, &env)
 			if err != nil {
 				return nil, err
 			}
@@ -233,25 +236,14 @@ func (j *HashJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 				return joined, nil
 			}
 		}
-		left, err := j.Left.Next(ctx)
-		if err != nil {
+		left, err := j.left.Next(ctx)
+		if err != nil || left == nil {
 			return nil, err
 		}
-		if left == nil {
-			return nil, nil
-		}
 		env.Row = left
-		key := make(types.Row, len(j.LeftKeys))
-		null := false
-		for i, k := range j.LeftKeys {
-			v, err := k.Eval(&env)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-			}
-			key[i] = v
+		key, null, err := evalKey(j.node.LeftKeys, &env)
+		if err != nil {
+			return nil, err
 		}
 		if null {
 			continue
@@ -264,19 +256,18 @@ func (j *HashJoinPlan) Next(ctx *Ctx) (types.Row, error) {
 	}
 }
 
-// Close implements Plan.
-func (j *HashJoinPlan) Close(ctx *Ctx) error {
+func (j *hashJoinIter) Close(ctx *Ctx) error {
 	j.table = nil
 	j.bucket = nil
-	return j.Left.Close(ctx)
+	return j.left.Close(ctx)
 }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (j *HashJoinPlan) Columns() []Column {
 	return append(append([]Column{}, j.Left.Columns()...), j.Right.Columns()...)
 }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (j *HashJoinPlan) Explain(indent int) string {
 	lk := make([]string, len(j.LeftKeys))
 	for i, k := range j.LeftKeys {

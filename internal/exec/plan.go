@@ -64,8 +64,8 @@ type onceEntry struct {
 }
 
 // Ctx is the runtime context of one statement execution, or of every output
-// of one CO extraction. Its plan trees are driven by one goroutine at a
-// time, but the morsel workers of a parallel batch operator
+// of one CO extraction. Each of its iterators is driven by one goroutine at
+// a time, but the morsel workers of a parallel batch operator
 // (vexec.ParallelAggScan, the parallel hash-join build) run on
 // goroutines of their own over the same context, so counters are bumped
 // atomically and the per-context values of Once are synchronized.
@@ -153,20 +153,84 @@ func (c *Ctx) Interrupted() error {
 	return c.Interrupt()
 }
 
-// Plan is a physical operator: a pull-based iterator.
-type Plan interface {
-	// Open prepares the iterator; params is the frame visible to the
-	// subtree (correlation values).
-	Open(ctx *Ctx, params types.Row) error
-	// Next returns the next row or nil at end of stream.
-	Next(ctx *Ctx) (types.Row, error)
-	// Close releases resources; the plan may be re-Opened afterwards.
-	Close(ctx *Ctx) error
+// Node is a compiled physical operator. A node tree is immutable once
+// compiled: each execution keeps its state in the iterators Open returns,
+// and state shared by the consumers of one execution (spools, hashed
+// subplans, a recursive CO's fixpoint) lives in Ctx.Once. So one tree — a
+// cached template — runs in place for any number of executions at once.
+type Node interface {
+	// Open starts one execution of the subtree; params is the frame
+	// visible to it (statement arguments, correlation values).
+	Open(ctx *Ctx, params types.Row) (Iter, error)
 	// Columns describes the output row.
 	Columns() []Column
 	// Explain renders the subtree, one node per line with indent.
 	Explain(indent int) string
 }
+
+// Iter is one execution of a Node: a pull-based iterator.
+type Iter interface {
+	// Next returns the next row or nil at end of stream.
+	Next(ctx *Ctx) (types.Row, error)
+	// Close releases the execution's resources.
+	Close(ctx *Ctx) error
+}
+
+// Plan is an execution handle: a compiled root Node plus the iterator of
+// the one execution the handle has open. Handles are cheap (NewPlan makes
+// one allocation), so every execution takes its own over the shared root.
+type Plan interface {
+	// Open starts an execution of the root with params as its frame.
+	Open(ctx *Ctx, params types.Row) error
+	// Next returns the next row or nil at end of stream.
+	Next(ctx *Ctx) (types.Row, error)
+	// Close ends the execution; the handle may be re-Opened afterwards.
+	Close(ctx *Ctx) error
+	// Columns describes the output row.
+	Columns() []Column
+	// Explain renders the plan, one node per line with indent.
+	Explain(indent int) string
+	// Root returns the compiled plan the handle runs.
+	Root() Node
+}
+
+// NewPlan returns an execution handle over a compiled root.
+func NewPlan(root Node) Plan { return &handle{root: root} }
+
+// ClonePlan returns a fresh handle over p's root: one allocation, no tree
+// walk, since the compiled nodes are shared rather than copied.
+func ClonePlan(p Plan) Plan { return NewPlan(p.Root()) }
+
+type handle struct {
+	root Node
+	it   Iter
+}
+
+func (h *handle) Open(ctx *Ctx, params types.Row) error {
+	it, err := h.root.Open(ctx, params)
+	h.it = it
+	return err
+}
+
+func (h *handle) Next(ctx *Ctx) (types.Row, error) {
+	if h.it == nil {
+		return nil, nil
+	}
+	return h.it.Next(ctx)
+}
+
+func (h *handle) Close(ctx *Ctx) error {
+	if h.it == nil {
+		return nil
+	}
+	it := h.it
+	h.it = nil
+	return it.Close(ctx)
+}
+
+func (h *handle) Columns() []Column         { return h.root.Columns() }
+func (h *handle) Explain(indent int) string { return h.root.Explain(indent) }
+func (h *handle) Root() Node                { return h.root }
 
 // Column describes one output column of a plan.
 type Column struct {
@@ -176,37 +240,66 @@ type Column struct {
 
 func pad(n int) string { return strings.Repeat("  ", n) }
 
-func colNames(cols []Column) string {
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	return strings.Join(names, ", ")
-}
-
 // Collect drains a plan into a slice (convenience for callers and tests).
-func Collect(ctx *Ctx, p Plan) ([]types.Row, error) {
-	return CollectWith(ctx, p, nil)
+func Collect(ctx *Ctx, n Node) ([]types.Row, error) {
+	return CollectWith(ctx, n, nil)
 }
 
 // CollectWith drains a plan opened with an explicit top-level parameter
 // frame — the statement arguments of a prepared-statement execution.
-func CollectWith(ctx *Ctx, p Plan, params types.Row) ([]types.Row, error) {
-	if err := p.Open(ctx, params); err != nil {
+func CollectWith(ctx *Ctx, n Node, params types.Row) ([]types.Row, error) {
+	it, err := n.Open(ctx, params)
+	if err != nil {
 		return nil, err
 	}
-	defer p.Close(ctx)
 	var out []types.Row
 	for {
-		r, err := p.Next(ctx)
+		r, err := it.Next(ctx)
 		if err != nil {
+			it.Close(ctx)
 			return nil, err
 		}
 		if r == nil {
-			return out, nil
+			return out, it.Close(ctx)
 		}
 		out = append(out, r)
 	}
+}
+
+// Replay returns an iterator over materialized rows: the output of a sort,
+// an aggregation, a spool or a fixpoint.
+func Replay(rows []types.Row) Iter { return &replay{rows: rows} }
+
+type replay struct {
+	rows []types.Row
+	pos  int
+}
+
+func (r *replay) Next(*Ctx) (types.Row, error) {
+	if r.pos >= len(r.rows) {
+		return nil, nil
+	}
+	r.pos++
+	return r.rows[r.pos-1], nil
+}
+
+func (r *replay) Close(*Ctx) error {
+	r.rows = nil
+	return nil
+}
+
+// closeAll closes every iterator and returns the first error.
+func closeAll(ctx *Ctx, its ...Iter) error {
+	var first error
+	for _, it := range its {
+		if it == nil {
+			continue
+		}
+		if err := it.Close(ctx); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // --- Scan ---
@@ -216,42 +309,47 @@ type ScanPlan struct {
 	Table  string
 	Filter Expr
 	Cols   []Column
-
-	rows   []types.Row
-	pos    int
-	params types.Row
 }
 
-// Open implements Plan.
-func (s *ScanPlan) Open(ctx *Ctx, params types.Row) error {
+// Open implements Node.
+func (s *ScanPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	td, err := ctx.Store.Table(s.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.rows = td.Snapshot()
-	s.pos = 0
-	s.params = params
-	return nil
+	return &filterIter{rows: td.Snapshot(), filter: s.Filter, params: params, scan: true}, nil
 }
 
-// Next implements Plan.
-func (s *ScanPlan) Next(ctx *Ctx) (types.Row, error) {
-	env := Env{Params: s.params, Ctx: ctx}
-	for s.pos < len(s.rows) {
+// filterIter streams a row slice through an optional filter: a table
+// snapshot (scan set: rows count as scanned, and the statement's
+// cancellation is polled) or the matches of an index probe.
+type filterIter struct {
+	rows   []types.Row
+	pos    int
+	filter Expr
+	params types.Row
+	scan   bool
+}
+
+func (f *filterIter) Next(ctx *Ctx) (types.Row, error) {
+	env := Env{Params: f.params, Ctx: ctx}
+	for f.pos < len(f.rows) {
 		// Every row-engine plan pulls from scans, so polling the
 		// statement's cancellation here bounds how long any plan shape —
 		// including a cross join re-scanning its inner — outlives its
 		// deadline, without each operator polling individually.
-		if s.pos&1023 == 0 {
-			if err := ctx.Interrupted(); err != nil {
-				return nil, err
+		if f.scan {
+			if f.pos&1023 == 0 {
+				if err := ctx.Interrupted(); err != nil {
+					return nil, err
+				}
 			}
+			add(&ctx.Counters.RowsScanned, 1)
 		}
-		row := s.rows[s.pos]
-		s.pos++
-		add(&ctx.Counters.RowsScanned, 1)
+		row := f.rows[f.pos]
+		f.pos++
 		env.Row = row
-		ok, err := EvalPred(s.Filter, &env)
+		ok, err := EvalPred(f.filter, &env)
 		if err != nil {
 			return nil, err
 		}
@@ -262,16 +360,15 @@ func (s *ScanPlan) Next(ctx *Ctx) (types.Row, error) {
 	return nil, nil
 }
 
-// Close implements Plan.
-func (s *ScanPlan) Close(*Ctx) error {
-	s.rows = nil
+func (f *filterIter) Close(*Ctx) error {
+	f.rows = nil
 	return nil
 }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (s *ScanPlan) Columns() []Column { return s.Cols }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (s *ScanPlan) Explain(indent int) string {
 	f := ""
 	if s.Filter != nil {
@@ -291,36 +388,30 @@ type IndexLookupPlan struct {
 	Keys   []Expr // evaluated with Params only
 	Filter Expr
 	Cols   []Column
-
-	matches []types.Row
-	pos     int
-	params  types.Row
 }
 
-// Open implements Plan.
-func (p *IndexLookupPlan) Open(ctx *Ctx, params types.Row) error {
+// Open implements Node.
+func (p *IndexLookupPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	td, err := ctx.Store.Table(p.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.matches = p.matches[:0]
-	p.pos = 0
-	p.params = params
+	it := &filterIter{filter: p.Filter, params: params}
 	key, ok, err := ProbeKey(p.Keys, &Env{Params: params, Ctx: ctx})
 	if err != nil || !ok {
-		return err
+		return it, err
 	}
 	rids, err := td.IndexLookup(p.Index, key)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	add(&ctx.Counters.IndexLookups, 1)
 	for _, rid := range rids {
 		if row, ok := td.Get(rid); ok {
-			p.matches = append(p.matches, row)
+			it.rows = append(it.rows, row)
 		}
 	}
-	return nil
+	return it, nil
 }
 
 // ProbeKey evaluates index-lookup key expressions. ok is false when a key
@@ -337,31 +428,10 @@ func ProbeKey(keys []Expr, env *Env) (key types.Row, ok bool, err error) {
 	return key, true, nil
 }
 
-// Next implements Plan.
-func (p *IndexLookupPlan) Next(ctx *Ctx) (types.Row, error) {
-	env := Env{Params: p.params, Ctx: ctx}
-	for p.pos < len(p.matches) {
-		row := p.matches[p.pos]
-		p.pos++
-		env.Row = row
-		ok, err := EvalPred(p.Filter, &env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
-	return nil, nil
-}
-
-// Close implements Plan.
-func (p *IndexLookupPlan) Close(*Ctx) error { return nil }
-
-// Columns implements Plan.
+// Columns implements Node.
 func (p *IndexLookupPlan) Columns() []Column { return p.Cols }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (p *IndexLookupPlan) Explain(indent int) string {
 	keys := make([]string, len(p.Keys))
 	for i, k := range p.Keys {
@@ -381,24 +451,24 @@ func (p *IndexLookupPlan) Explain(indent int) string {
 type ValuesPlan struct {
 	Rows [][]Expr
 	Cols []Column
+}
 
+// Open implements Node.
+func (v *ValuesPlan) Open(_ *Ctx, params types.Row) (Iter, error) {
+	return &valuesIter{rows: v.Rows, params: params}, nil
+}
+
+type valuesIter struct {
+	rows   [][]Expr
 	pos    int
 	params types.Row
 }
 
-// Open implements Plan.
-func (v *ValuesPlan) Open(_ *Ctx, params types.Row) error {
-	v.pos = 0
-	v.params = params
-	return nil
-}
-
-// Next implements Plan.
-func (v *ValuesPlan) Next(ctx *Ctx) (types.Row, error) {
-	if v.pos >= len(v.Rows) {
+func (v *valuesIter) Next(ctx *Ctx) (types.Row, error) {
+	if v.pos >= len(v.rows) {
 		return nil, nil
 	}
-	exprs := v.Rows[v.pos]
+	exprs := v.rows[v.pos]
 	v.pos++
 	env := Env{Params: v.params, Ctx: ctx}
 	row := make(types.Row, len(exprs))
@@ -412,13 +482,12 @@ func (v *ValuesPlan) Next(ctx *Ctx) (types.Row, error) {
 	return row, nil
 }
 
-// Close implements Plan.
-func (v *ValuesPlan) Close(*Ctx) error { return nil }
+func (v *valuesIter) Close(*Ctx) error { return nil }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (v *ValuesPlan) Columns() []Column { return v.Cols }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (v *ValuesPlan) Explain(indent int) string {
 	return fmt.Sprintf("%sValues %d row(s)\n", pad(indent), len(v.Rows))
 }
@@ -427,28 +496,34 @@ func (v *ValuesPlan) Explain(indent int) string {
 
 // FilterPlan drops rows not satisfying the predicate.
 type FilterPlan struct {
-	Child Plan
+	Child Node
 	Pred  Expr
+}
 
+// Open implements Node.
+func (f *FilterPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	child, err := f.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &predIter{child: child, pred: f.Pred, params: params}, nil
+}
+
+type predIter struct {
+	child  Iter
+	pred   Expr
 	params types.Row
 }
 
-// Open implements Plan.
-func (f *FilterPlan) Open(ctx *Ctx, params types.Row) error {
-	f.params = params
-	return f.Child.Open(ctx, params)
-}
-
-// Next implements Plan.
-func (f *FilterPlan) Next(ctx *Ctx) (types.Row, error) {
+func (f *predIter) Next(ctx *Ctx) (types.Row, error) {
 	env := Env{Params: f.params, Ctx: ctx}
 	for {
-		row, err := f.Child.Next(ctx)
+		row, err := f.child.Next(ctx)
 		if err != nil || row == nil {
 			return row, err
 		}
 		env.Row = row
-		ok, err := EvalPred(f.Pred, &env)
+		ok, err := EvalPred(f.pred, &env)
 		if err != nil {
 			return nil, err
 		}
@@ -458,13 +533,12 @@ func (f *FilterPlan) Next(ctx *Ctx) (types.Row, error) {
 	}
 }
 
-// Close implements Plan.
-func (f *FilterPlan) Close(ctx *Ctx) error { return f.Child.Close(ctx) }
+func (f *predIter) Close(ctx *Ctx) error { return f.child.Close(ctx) }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (f *FilterPlan) Columns() []Column { return f.Child.Columns() }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (f *FilterPlan) Explain(indent int) string {
 	return fmt.Sprintf("%sFilter %s\n%s", pad(indent), f.Pred.String(), f.Child.Explain(indent+1))
 }
@@ -473,28 +547,34 @@ func (f *FilterPlan) Explain(indent int) string {
 
 // ProjectPlan computes the output expressions.
 type ProjectPlan struct {
-	Child Plan
+	Child Node
 	Exprs []Expr
 	Cols  []Column
+}
 
+// Open implements Node.
+func (p *ProjectPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	child, err := p.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &projectIter{child: child, exprs: p.Exprs, params: params}, nil
+}
+
+type projectIter struct {
+	child  Iter
+	exprs  []Expr
 	params types.Row
 }
 
-// Open implements Plan.
-func (p *ProjectPlan) Open(ctx *Ctx, params types.Row) error {
-	p.params = params
-	return p.Child.Open(ctx, params)
-}
-
-// Next implements Plan.
-func (p *ProjectPlan) Next(ctx *Ctx) (types.Row, error) {
-	row, err := p.Child.Next(ctx)
+func (p *projectIter) Next(ctx *Ctx) (types.Row, error) {
+	row, err := p.child.Next(ctx)
 	if err != nil || row == nil {
 		return nil, err
 	}
 	env := Env{Row: row, Params: p.params, Ctx: ctx}
-	out := make(types.Row, len(p.Exprs))
-	for i, e := range p.Exprs {
+	out := make(types.Row, len(p.exprs))
+	for i, e := range p.exprs {
 		v, err := e.Eval(&env)
 		if err != nil {
 			return nil, err
@@ -504,13 +584,12 @@ func (p *ProjectPlan) Next(ctx *Ctx) (types.Row, error) {
 	return out, nil
 }
 
-// Close implements Plan.
-func (p *ProjectPlan) Close(ctx *Ctx) error { return p.Child.Close(ctx) }
+func (p *projectIter) Close(ctx *Ctx) error { return p.child.Close(ctx) }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (p *ProjectPlan) Columns() []Column { return p.Cols }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (p *ProjectPlan) Explain(indent int) string {
 	exprs := make([]string, len(p.Exprs))
 	for i, e := range p.Exprs {
@@ -523,77 +602,68 @@ func (p *ProjectPlan) Explain(indent int) string {
 
 // DistinctPlan removes duplicate rows (hash-based).
 type DistinctPlan struct {
-	Child Plan
+	Child Node
+}
 
+// Open implements Node.
+func (d *DistinctPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	child, err := d.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &unionIter{children: []Iter{child}, dedup: newDedup(len(d.Child.Columns()))}, nil
+}
+
+// Columns implements Node.
+func (d *DistinctPlan) Columns() []Column { return d.Child.Columns() }
+
+// Explain implements Node.
+func (d *DistinctPlan) Explain(indent int) string {
+	return fmt.Sprintf("%sDistinct\n%s", pad(indent), d.Child.Explain(indent+1))
+}
+
+// dedup is the seen-set of a duplicate-eliminating iterator.
+type dedup struct {
 	seen map[uint64][]types.Row
 	all  []int
 }
 
-// Open implements Plan.
-func (d *DistinctPlan) Open(ctx *Ctx, params types.Row) error {
-	d.seen = make(map[uint64][]types.Row)
-	d.all = nil
-	for i := range d.Child.Columns() {
-		d.all = append(d.all, i)
+func newDedup(width int) *dedup {
+	d := &dedup{seen: make(map[uint64][]types.Row), all: make([]int, width)}
+	for i := range d.all {
+		d.all[i] = i
 	}
-	return d.Child.Open(ctx, params)
+	return d
 }
 
-// Next implements Plan.
-func (d *DistinctPlan) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		row, err := d.Child.Next(ctx)
-		if err != nil || row == nil {
-			return row, err
-		}
-		h := row.Hash(d.all)
-		dup := false
-		for _, prev := range d.seen[h] {
-			if types.EqualRows(prev, row) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			d.seen[h] = append(d.seen[h], row)
-			return row, nil
+// first reports whether row is the first occurrence of its value, and
+// records it.
+func (d *dedup) first(row types.Row) bool {
+	h := row.Hash(d.all)
+	for _, prev := range d.seen[h] {
+		if types.EqualRows(prev, row) {
+			return false
 		}
 	}
-}
-
-// Close implements Plan.
-func (d *DistinctPlan) Close(ctx *Ctx) error {
-	d.seen = nil
-	return d.Child.Close(ctx)
-}
-
-// Columns implements Plan.
-func (d *DistinctPlan) Columns() []Column { return d.Child.Columns() }
-
-// Explain implements Plan.
-func (d *DistinctPlan) Explain(indent int) string {
-	return fmt.Sprintf("%sDistinct\n%s", pad(indent), d.Child.Explain(indent+1))
+	d.seen[h] = append(d.seen[h], row)
+	return true
 }
 
 // --- Sort ---
 
 // SortPlan fully materializes and sorts its input.
 type SortPlan struct {
-	Child Plan
+	Child Node
 	Keys  []Expr
 	Desc  []bool
-
-	rows []types.Row
-	pos  int
 }
 
-// Open implements Plan.
-func (s *SortPlan) Open(ctx *Ctx, params types.Row) error {
-	if err := s.Child.Open(ctx, params); err != nil {
-		return err
+// Open implements Node; the sort is computed eagerly.
+func (s *SortPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	child, err := s.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
 	}
-	s.rows = nil
-	s.pos = 0
 	env := Env{Params: params, Ctx: ctx}
 	type keyed struct {
 		row types.Row
@@ -601,9 +671,10 @@ func (s *SortPlan) Open(ctx *Ctx, params types.Row) error {
 	}
 	var data []keyed
 	for {
-		row, err := s.Child.Next(ctx)
+		row, err := child.Next(ctx)
 		if err != nil {
-			return err
+			child.Close(ctx)
+			return nil, err
 		}
 		if row == nil {
 			break
@@ -613,7 +684,8 @@ func (s *SortPlan) Open(ctx *Ctx, params types.Row) error {
 		for i, k := range s.Keys {
 			v, err := k.Eval(&env)
 			if err != nil {
-				return err
+				child.Close(ctx)
+				return nil, err
 			}
 			key[i] = v
 		}
@@ -626,32 +698,17 @@ func (s *SortPlan) Open(ctx *Ctx, params types.Row) error {
 	sort.SliceStable(data, func(i, j int) bool {
 		return types.CompareRows(data[i].key, data[j].key, ords, s.Desc) < 0
 	})
-	for _, d := range data {
-		s.rows = append(s.rows, d.row)
+	rows := make([]types.Row, len(data))
+	for i, d := range data {
+		rows[i] = d.row
 	}
-	return s.Child.Close(ctx)
+	return Replay(rows), child.Close(ctx)
 }
 
-// Next implements Plan.
-func (s *SortPlan) Next(*Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-// Close implements Plan.
-func (s *SortPlan) Close(*Ctx) error {
-	s.rows = nil
-	return nil
-}
-
-// Columns implements Plan.
+// Columns implements Node.
 func (s *SortPlan) Columns() []Column { return s.Child.Columns() }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (s *SortPlan) Explain(indent int) string {
 	keys := make([]string, len(s.Keys))
 	for i, k := range s.Keys {
@@ -667,38 +724,42 @@ func (s *SortPlan) Explain(indent int) string {
 
 // LimitPlan stops the stream after N rows.
 type LimitPlan struct {
-	Child Plan
+	Child Node
 	N     int
-
-	emitted int
 }
 
-// Open implements Plan.
-func (l *LimitPlan) Open(ctx *Ctx, params types.Row) error {
-	l.emitted = 0
-	return l.Child.Open(ctx, params)
+// Open implements Node.
+func (l *LimitPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	child, err := l.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &limitIter{child: child, left: l.N}, nil
 }
 
-// Next implements Plan.
-func (l *LimitPlan) Next(ctx *Ctx) (types.Row, error) {
-	if l.emitted >= l.N {
+type limitIter struct {
+	child Iter
+	left  int
+}
+
+func (l *limitIter) Next(ctx *Ctx) (types.Row, error) {
+	if l.left <= 0 {
 		return nil, nil
 	}
-	row, err := l.Child.Next(ctx)
+	row, err := l.child.Next(ctx)
 	if err != nil || row == nil {
 		return row, err
 	}
-	l.emitted++
+	l.left--
 	return row, nil
 }
 
-// Close implements Plan.
-func (l *LimitPlan) Close(ctx *Ctx) error { return l.Child.Close(ctx) }
+func (l *limitIter) Close(ctx *Ctx) error { return l.child.Close(ctx) }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (l *LimitPlan) Columns() []Column { return l.Child.Columns() }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (l *LimitPlan) Explain(indent int) string {
 	return fmt.Sprintf("%sLimit %d\n%s", pad(indent), l.N, l.Child.Explain(indent+1))
 }
@@ -707,36 +768,38 @@ func (l *LimitPlan) Explain(indent int) string {
 
 // UnionPlan concatenates branch streams; Distinct adds set semantics.
 type UnionPlan struct {
-	Children []Plan
+	Children []Node
 	Distinct bool
-
-	cur  int
-	dset map[uint64][]types.Row
-	all  []int
 }
 
-// Open implements Plan.
-func (u *UnionPlan) Open(ctx *Ctx, params types.Row) error {
-	u.cur = 0
+// Open implements Node.
+func (u *UnionPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
+	it := &unionIter{children: make([]Iter, 0, len(u.Children))}
 	if u.Distinct {
-		u.dset = make(map[uint64][]types.Row)
-		u.all = nil
-		for i := range u.Columns() {
-			u.all = append(u.all, i)
-		}
+		it.dedup = newDedup(len(u.Columns()))
 	}
 	for _, c := range u.Children {
-		if err := c.Open(ctx, params); err != nil {
-			return err
+		child, err := c.Open(ctx, params)
+		if err != nil {
+			closeAll(ctx, it.children...)
+			return nil, err
 		}
+		it.children = append(it.children, child)
 	}
-	return nil
+	return it, nil
 }
 
-// Next implements Plan.
-func (u *UnionPlan) Next(ctx *Ctx) (types.Row, error) {
-	for u.cur < len(u.Children) {
-		row, err := u.Children[u.cur].Next(ctx)
+// unionIter drains its children in order, dropping repeated rows when it
+// deduplicates (UNION, and DISTINCT as a one-child union).
+type unionIter struct {
+	children []Iter
+	cur      int
+	dedup    *dedup
+}
+
+func (u *unionIter) Next(ctx *Ctx) (types.Row, error) {
+	for u.cur < len(u.children) {
+		row, err := u.children[u.cur].Next(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -744,41 +807,22 @@ func (u *UnionPlan) Next(ctx *Ctx) (types.Row, error) {
 			u.cur++
 			continue
 		}
-		if u.Distinct {
-			h := row.Hash(u.all)
-			dup := false
-			for _, prev := range u.dset[h] {
-				if types.EqualRows(prev, row) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			u.dset[h] = append(u.dset[h], row)
+		if u.dedup == nil || u.dedup.first(row) {
+			return row, nil
 		}
-		return row, nil
 	}
 	return nil, nil
 }
 
-// Close implements Plan.
-func (u *UnionPlan) Close(ctx *Ctx) error {
-	u.dset = nil
-	var first error
-	for _, c := range u.Children {
-		if err := c.Close(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+func (u *unionIter) Close(ctx *Ctx) error {
+	u.dedup = nil
+	return closeAll(ctx, u.children...)
 }
 
-// Columns implements Plan.
+// Columns implements Node.
 func (u *UnionPlan) Columns() []Column { return u.Children[0].Columns() }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (u *UnionPlan) Explain(indent int) string {
 	kind := "UnionAll"
 	if u.Distinct {
@@ -799,65 +843,31 @@ func (u *UnionPlan) Explain(indent int) string {
 // subexpression shared in the QGM DAG (Sect. 4.2 / Table 1 of the paper).
 type SpoolPlan struct {
 	ID    int
-	Child Plan
-
-	rows []types.Row
-	pos  int
+	Child Node
 }
 
-// Open implements Plan. The first consumer to arrive materializes the
+// Open implements Node. The first consumer to arrive materializes the
 // fragment; later or concurrent consumers sharing the context wait for it
 // in Ctx.Once and then replay the shared rows.
-func (s *SpoolPlan) Open(ctx *Ctx, params types.Row) error {
+func (s *SpoolPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	rows, err := ctx.Once(OnceKey{Kind: "spool", ID: s.ID}, func() (any, error) {
-		if err := s.Child.Open(ctx, params); err != nil {
-			return nil, err
-		}
-		var rows []types.Row
-		for {
-			row, err := s.Child.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				break
-			}
-			rows = append(rows, row)
-		}
-		if err := s.Child.Close(ctx); err != nil {
+		rows, err := CollectWith(ctx, s.Child, params)
+		if err != nil {
 			return nil, err
 		}
 		add(&ctx.Counters.SpoolMaterial, 1)
 		return rows, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.rows = rows.([]types.Row)
-	s.pos = 0
-	return nil
+	return Replay(rows.([]types.Row)), nil
 }
 
-// Next implements Plan.
-func (s *SpoolPlan) Next(*Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-// Close implements Plan.
-func (s *SpoolPlan) Close(*Ctx) error {
-	s.rows = nil
-	return nil
-}
-
-// Columns implements Plan.
+// Columns implements Node.
 func (s *SpoolPlan) Columns() []Column { return s.Child.Columns() }
 
-// Explain implements Plan.
+// Explain implements Node.
 func (s *SpoolPlan) Explain(indent int) string {
 	return fmt.Sprintf("%sSpool #%d (shared)\n%s", pad(indent), s.ID, s.Child.Explain(indent+1))
 }

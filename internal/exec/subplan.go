@@ -20,8 +20,8 @@ const (
 // Subplan evaluates a nested plan inside an expression: EXISTS, NOT
 // EXISTS, IN, NOT IN and scalar subqueries. Two strategies exist:
 //
-//   - Rerun: the plan is re-executed per evaluation with Params bound from
-//     the caller's row — the naive correlated strategy the paper's Sect.
+//   - Rerun: the plan is opened afresh per evaluation with Params bound
+//     from the caller's row — the naive correlated strategy the paper's Sect.
 //     3.2 warns about. It is the fallback for arbitrary correlation and
 //     the explicit target of the Fig. 3 benchmark with rewriting disabled.
 //   - Hashed: the plan must be uncorrelated; its result is materialized
@@ -34,7 +34,7 @@ const (
 type Subplan struct {
 	ID      int
 	Mode    SubplanMode
-	Plan    Plan
+	Plan    Node
 	Params  []Expr // evaluated in the caller's env; become the plan's frame
 	Hashed  bool
 	Probe   []Expr // over caller env
@@ -66,7 +66,7 @@ func (s *Subplan) Eval(env *Env) (types.Value, error) {
 }
 
 func (s *Subplan) evalExists(env *Env) (types.TriBool, error) {
-	probe, probeNull, err := s.evalKeys(s.Probe, env)
+	probe, probeNull, err := evalKey(s.Probe, env)
 	if err != nil {
 		return types.Unknown, err
 	}
@@ -97,12 +97,13 @@ func (s *Subplan) evalExists(env *Env) (types.TriBool, error) {
 		if err != nil {
 			return types.Unknown, err
 		}
-		if err := s.Plan.Open(env.Ctx, frame); err != nil {
+		it, err := s.Plan.Open(env.Ctx, frame)
+		if err != nil {
 			return types.Unknown, err
 		}
-		defer s.Plan.Close(env.Ctx)
+		defer it.Close(env.Ctx)
 		for {
-			row, err := s.Plan.Next(env.Ctx)
+			row, err := it.Next(env.Ctx)
 			if err != nil {
 				return types.Unknown, err
 			}
@@ -114,7 +115,7 @@ func (s *Subplan) evalExists(env *Env) (types.TriBool, error) {
 				matched = true
 				break
 			}
-			key, keyNull, err := s.evalKeys(s.Build, &Env{Row: row, Params: frame, Ctx: env.Ctx})
+			key, keyNull, err := evalKey(s.Build, &Env{Row: row, Params: frame, Ctx: env.Ctx})
 			if err != nil {
 				return types.Unknown, err
 			}
@@ -149,7 +150,7 @@ func (s *Subplan) evalScalar(env *Env) (types.Value, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		probe, probeNull, err := s.evalKeys(s.Probe, env)
+		probe, probeNull, err := evalKey(s.Probe, env)
 		if err != nil {
 			return types.Null, err
 		}
@@ -192,18 +193,19 @@ func (s *Subplan) evalScalar(env *Env) (types.Value, error) {
 	if err != nil {
 		return types.Null, err
 	}
-	if err := s.Plan.Open(env.Ctx, frame); err != nil {
+	it, err := s.Plan.Open(env.Ctx, frame)
+	if err != nil {
 		return types.Null, err
 	}
-	defer s.Plan.Close(env.Ctx)
-	first, err := s.Plan.Next(env.Ctx)
+	defer it.Close(env.Ctx)
+	first, err := it.Next(env.Ctx)
 	if err != nil {
 		return types.Null, err
 	}
 	if first == nil {
 		return types.Null, nil
 	}
-	second, err := s.Plan.Next(env.Ctx)
+	second, err := it.Next(env.Ctx)
 	if err != nil {
 		return types.Null, err
 	}
@@ -225,12 +227,13 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.Plan.Open(env.Ctx, frame); err != nil {
+		it, err := s.Plan.Open(env.Ctx, frame)
+		if err != nil {
 			return nil, err
 		}
-		defer s.Plan.Close(env.Ctx)
+		defer it.Close(env.Ctx)
 		for {
-			row, err := s.Plan.Next(env.Ctx)
+			row, err := it.Next(env.Ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +241,7 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 				break
 			}
 			tbl.total++
-			key, keyNull, err := s.evalKeys(s.Build, &Env{Row: row, Params: frame, Ctx: env.Ctx})
+			key, keyNull, err := evalKey(s.Build, &Env{Row: row, Params: frame, Ctx: env.Ctx})
 			if err != nil {
 				return nil, err
 			}
@@ -255,22 +258,6 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 		return nil, err
 	}
 	return tbl.(*subplanTable), nil
-}
-
-func (s *Subplan) evalKeys(keys []Expr, env *Env) (types.Row, bool, error) {
-	out := make(types.Row, len(keys))
-	anyNull := false
-	for i, k := range keys {
-		v, err := k.Eval(env)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			anyNull = true
-		}
-		out[i] = v
-	}
-	return out, anyNull, nil
 }
 
 func (s *Subplan) evalFrame(env *Env) (types.Row, error) {

@@ -212,7 +212,7 @@ func (c *Compiler) compileSubquery(sr *qgm.SubqueryRef, env *colEnv) (exec.Expr,
 			exts, remainder = c.extractCorrelation(sub, env)
 		}
 		pc := newParamCollector(c, env)
-		var plan exec.Plan
+		var plan exec.Node
 		var err error
 		if sub.Kind == qgm.Select {
 			extraOut := make([]qgm.Expr, len(exts))

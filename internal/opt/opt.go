@@ -1,6 +1,7 @@
 // Package opt is the plan optimization and plan refinement stage (Fig. 2):
-// it lowers a (rewritten) QGM graph to a physical exec.Plan, choosing join
-// orders greedily from catalog statistics, selecting access paths (scan vs
+// it lowers a (rewritten) QGM graph to a tree of compiled exec.Nodes,
+// choosing join orders greedily from catalog statistics, selecting access
+// paths (scan vs
 // index lookup), picking hash joins for equi-predicates, spooling shared
 // common subexpressions, and deciding subquery strategies (hashed semijoin
 // vs naive re-execution). All choices can be disabled through Options so
@@ -51,7 +52,8 @@ func NewCompiler(store *storage.Store, g *qgm.Graph, opts Options) *Compiler {
 }
 
 // CompileTop compiles the graph's Top box (single-output SQL queries):
-// the output quantifier's box plus ORDER BY / LIMIT.
+// the output quantifier's box plus ORDER BY / LIMIT. It returns an
+// execution handle over the compiled root.
 func (c *Compiler) CompileTop() (exec.Plan, error) {
 	top := c.g.TopBox
 	if top == nil || len(top.Outputs) != 1 {
@@ -93,7 +95,7 @@ func (c *Compiler) CompileTop() (exec.Plan, error) {
 	if c.opts.Vectorize {
 		plan = vectorizePlan(plan, c.opts)
 	}
-	return plan, nil
+	return exec.NewPlan(plan), nil
 }
 
 // CompileOutput compiles a top-level output box — the CO extraction legs
@@ -101,7 +103,7 @@ func (c *Compiler) CompileTop() (exec.Plan, error) {
 // as CompileTop. Callers that compile boxes as subtrees of a larger plan
 // keep using CompileBox, which leaves lowering to the enclosing entry
 // point so pipelines fuse maximally.
-func (c *Compiler) CompileOutput(box *qgm.Box) (exec.Plan, error) {
+func (c *Compiler) CompileOutput(box *qgm.Box) (exec.Node, error) {
 	plan, _, err := c.CompileBox(box, nil)
 	if err != nil {
 		return nil, err
@@ -125,7 +127,7 @@ func (c *Compiler) CompileRowExpr(q *qgm.Quantifier, e qgm.Expr) (exec.Expr, err
 // collector receives correlated outer references; pass nil for top-level
 // boxes. The bool result reports whether the subtree is correlated (uses
 // outer parameters), which disqualifies it from spooling.
-func (c *Compiler) CompileBox(box *qgm.Box, outer *paramCollector) (exec.Plan, bool, error) {
+func (c *Compiler) CompileBox(box *qgm.Box, outer *paramCollector) (exec.Node, bool, error) {
 	before := 0
 	if outer != nil {
 		before = len(outer.params)
@@ -141,7 +143,7 @@ func (c *Compiler) CompileBox(box *qgm.Box, outer *paramCollector) (exec.Plan, b
 	return plan, correlated, nil
 }
 
-func (c *Compiler) compileBox(box *qgm.Box, outer *paramCollector) (exec.Plan, error) {
+func (c *Compiler) compileBox(box *qgm.Box, outer *paramCollector) (exec.Node, error) {
 	switch box.Kind {
 	case qgm.BaseTable:
 		return &exec.ScanPlan{Table: box.Table, Cols: headColumns(box)}, nil
@@ -164,8 +166,8 @@ func headColumns(box *qgm.Box) []exec.Column {
 	return cols
 }
 
-func (c *Compiler) compileUnion(box *qgm.Box, outer *paramCollector) (exec.Plan, error) {
-	var children []exec.Plan
+func (c *Compiler) compileUnion(box *qgm.Box, outer *paramCollector) (exec.Node, error) {
+	var children []exec.Node
 	for _, q := range box.Quants {
 		p, _, err := c.CompileBox(q.Input, outer)
 		if err != nil {
@@ -176,7 +178,7 @@ func (c *Compiler) compileUnion(box *qgm.Box, outer *paramCollector) (exec.Plan,
 	return &exec.UnionPlan{Children: children, Distinct: box.Distinct}, nil
 }
 
-func (c *Compiler) compileGroupBy(box *qgm.Box, outer *paramCollector) (exec.Plan, error) {
+func (c *Compiler) compileGroupBy(box *qgm.Box, outer *paramCollector) (exec.Node, error) {
 	in := box.Quants[0]
 	child, _, err := c.CompileBox(in.Input, outer)
 	if err != nil {

@@ -72,7 +72,7 @@ func compile(t *testing.T, s *storage.Store, sql string, opts Options) exec.Plan
 
 func run(t *testing.T, s *storage.Store, plan exec.Plan) []types.Row {
 	t.Helper()
-	rows, err := exec.Collect(exec.NewCtx(s), plan)
+	rows, err := exec.Collect(exec.NewCtx(s), plan.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSubqueryStrategySelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := exec.NewCtx(s)
-	rows, err := exec.Collect(ctx, plan)
+	rows, err := exec.Collect(ctx, plan.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSubqueryStrategySelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx2 := exec.NewCtx(s)
-	rows2, err := exec.Collect(ctx2, plan2)
+	rows2, err := exec.Collect(ctx2, plan2.Root())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // index lookup when a usable equality predicate and index exist, otherwise
 // a scan (or the compiled input box) with the local predicates filtered.
 // env must already bind q at slot base 0.
-func (c *Compiler) accessPath(q *qgm.Quantifier, qPreds []qgm.Expr, env *colEnv) (exec.Plan, error) {
+func (c *Compiler) accessPath(q *qgm.Quantifier, qPreds []qgm.Expr, env *colEnv) (exec.Node, error) {
 	if q.Input.Kind == qgm.BaseTable && c.opts.IndexNL {
 		if idx, keyExpr, rest := c.matchIndexEquality(q, qPreds, nil); idx != "" {
 			key, err := c.compileExpr(keyExpr, env)
@@ -117,7 +117,7 @@ func (c *Compiler) compileAll(preds []qgm.Expr, env *colEnv) ([]exec.Expr, error
 // joinStep joins the next quantifier onto the current plan, choosing index
 // nested-loop, hash join or plain nested-loop. env gains q's binding at
 // slot base `width`.
-func (c *Compiler) joinStep(left exec.Plan, q *qgm.Quantifier, qPreds []qgm.Expr, env *colEnv, width int) (exec.Plan, error) {
+func (c *Compiler) joinStep(left exec.Node, q *qgm.Quantifier, qPreds []qgm.Expr, env *colEnv, width int) (exec.Node, error) {
 	// Classify predicates.
 	var rightLocal []qgm.Expr // reference only q (and correlation)
 	var equi []*qgm.BinOp     // left-side expr = right-side expr over q
@@ -230,7 +230,7 @@ func (c *Compiler) joinStep(left exec.Plan, q *qgm.Quantifier, qPreds []qgm.Expr
 	// Compile the right side with its local predicates pushed down.
 	renv := newColEnv(env.outer)
 	renv.bind(q, 0)
-	var right exec.Plan
+	var right exec.Node
 	if q.Input.Kind == qgm.BaseTable && c.opts.IndexNL {
 		p, err := c.accessPath(q, rightLocal, renv)
 		if err != nil {

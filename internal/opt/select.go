@@ -7,7 +7,7 @@ import (
 	"xnf/internal/qgm"
 )
 
-func (c *Compiler) compileSelect(box *qgm.Box, outer *paramCollector) (exec.Plan, error) {
+func (c *Compiler) compileSelect(box *qgm.Box, outer *paramCollector) (exec.Node, error) {
 	return c.compileSelectCustom(box, box.Preds, nil, outer)
 }
 
@@ -15,11 +15,11 @@ func (c *Compiler) compileSelect(box *qgm.Box, outer *paramCollector) (exec.Plan
 // list and optional extra output expressions (used by subquery correlation
 // extraction). Join order, join method and access path selection happen
 // here.
-func (c *Compiler) compileSelectCustom(box *qgm.Box, preds []qgm.Expr, extraOut []qgm.Expr, outer *paramCollector) (exec.Plan, error) {
+func (c *Compiler) compileSelectCustom(box *qgm.Box, preds []qgm.Expr, extraOut []qgm.Expr, outer *paramCollector) (exec.Node, error) {
 	env := newColEnv(outer)
 	quants := box.Quants
 
-	var plan exec.Plan
+	var plan exec.Node
 	used := make(map[int]bool) // indexes into preds already applied
 
 	if len(quants) == 0 {

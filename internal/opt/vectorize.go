@@ -14,7 +14,7 @@ import (
 // appear wherever they help. The right side of a nested-loop join is
 // deliberately left alone: it is re-Opened once per driving row, where
 // batching buys nothing and the bridge would only add overhead.
-func vectorizePlan(p exec.Plan, opts Options) exec.Plan {
+func vectorizePlan(p exec.Node, opts Options) exec.Node {
 	if bp, ok := lowerPlan(p, opts); ok {
 		return &vexec.BatchToRow{Child: bp}
 	}
@@ -51,7 +51,7 @@ func vectorizePlan(p exec.Plan, opts Options) exec.Plan {
 // operators like hash join whose own work vectorizes regardless of how its
 // inputs arrive — a bridged input is still far cheaper than bridging the
 // join output row by row.
-func lowerOrBridge(p exec.Plan, opts Options) vexec.BatchPlan {
+func lowerOrBridge(p exec.Node, opts Options) vexec.BatchPlan {
 	if bp, ok := lowerPlan(p, opts); ok {
 		return bp
 	}
@@ -61,7 +61,7 @@ func lowerOrBridge(p exec.Plan, opts Options) vexec.BatchPlan {
 // lowerPlan translates a row operator subtree into a batch pipeline. ok is
 // false when the operator (or one of its expressions) is not vectorizable;
 // the caller then recurses into children instead.
-func lowerPlan(p exec.Plan, opts Options) (vexec.BatchPlan, bool) {
+func lowerPlan(p exec.Node, opts Options) (vexec.BatchPlan, bool) {
 	switch n := p.(type) {
 	case *exec.ScanPlan:
 		pred, ok := vexec.CompileExpr(n.Filter)

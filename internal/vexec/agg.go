@@ -393,12 +393,6 @@ type HashAggBatch struct {
 	Groups []VExpr
 	Aggs   []AggSpec
 	Cols   []exec.Column
-
-	env env
-	mem memTracker
-	out []types.Row
-	pos int
-	ob  Batch
 }
 
 // aggGroupBytes estimates the retained footprint of one hash-agg group:
@@ -411,64 +405,49 @@ func aggGroupBytes(ngroups, naggs int) int64 {
 // Open implements BatchPlan; the aggregation is computed eagerly. New
 // groups are charged against the statement accountant a batch at a
 // time; an over-budget aggregation fails with ErrResourceExhausted.
-func (a *HashAggBatch) Open(ctx *exec.Ctx, params types.Row) error {
-	if err := a.Child.Open(ctx, params); err != nil {
-		return err
+func (a *HashAggBatch) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	child, err := a.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
 	}
-	a.env.open(params)
-	a.env.ctr = &ctx.Counters
+	out := &rowBatches{width: len(a.Cols)}
+	var e env
+	e.open(ctx, params)
 	gt := newGroupTable(a.Groups, a.Aggs)
+	err = a.fold(ctx, child, &e, gt, &out.mem)
+	if cerr := child.Close(ctx); err == nil {
+		err = cerr
+	}
+	e.close()
+	if err != nil {
+		out.Close(ctx)
+		return nil, err
+	}
+	out.rows = gt.emit()
+	return out, nil
+}
+
+// fold drains the child into the group table.
+func (a *HashAggBatch) fold(ctx *exec.Ctx, child BatchIter, e *env, gt *groupTable, mem *memTracker) error {
 	perGroup := aggGroupBytes(len(a.Groups), len(a.Aggs))
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		b, err := a.Child.NextBatch(ctx)
-		if err != nil {
+		b, err := child.NextBatch(ctx)
+		if err != nil || b == nil {
 			return err
 		}
-		if b == nil {
-			break
-		}
 		before := len(gt.order)
-		if err := gt.fold(&a.env, b); err != nil {
+		if err := gt.fold(e, b); err != nil {
 			return err
 		}
 		if grown := len(gt.order) - before; grown > 0 {
-			if err := a.mem.reserve(ctx, int64(grown)*perGroup); err != nil {
+			if err := mem.reserve(ctx, int64(grown)*perGroup); err != nil {
 				return err
 			}
 		}
 	}
-	if err := a.Child.Close(ctx); err != nil {
-		return err
-	}
-	a.out = gt.emit()
-	a.pos = 0
-	return nil
-}
-
-// NextBatch implements BatchPlan.
-func (a *HashAggBatch) NextBatch(*exec.Ctx) (*Batch, error) {
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	n := len(a.out) - a.pos
-	if n > BatchSize {
-		n = BatchSize
-	}
-	a.ob.fromRows(a.out[a.pos:a.pos+n], len(a.Cols))
-	a.pos += n
-	return &a.ob, nil
-}
-
-// Close implements BatchPlan.
-func (a *HashAggBatch) Close(ctx *exec.Ctx) error {
-	a.out = nil
-	a.ob.release()
-	a.mem.releaseAll(ctx)
-	a.env.close()
-	return nil
 }
 
 // Columns implements BatchPlan.
@@ -493,9 +472,4 @@ func (a *HashAggBatch) Explain(indent int) string {
 	}
 	return fmt.Sprintf("%sBatchAgg groups=(%s) aggs=(%s)\n%s", pad(indent),
 		strings.Join(gs, ", "), strings.Join(as, ", "), a.Child.Explain(indent+1))
-}
-
-// Clone implements BatchPlan.
-func (a *HashAggBatch) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &HashAggBatch{Child: a.Child.Clone(cloneRow), Groups: a.Groups, Aggs: a.Aggs, Cols: a.Cols}
 }

@@ -260,8 +260,8 @@ func (b *Batch) setTyped(c int, tv *TypedVec) {
 	b.Cols[c] = nil
 }
 
-// release returns the batch's pooled column storage; operators call it from
-// Close. The batch must be re-filled (resize/fromRows/fromTypedView) before its
+// release returns the batch's pooled column storage; iterators call it
+// from Close. The batch must be re-filled (resize/fromRows/fromTypedView) before its
 // next use.
 func (b *Batch) release() {
 	for c := range b.own {
@@ -276,40 +276,42 @@ func (b *Batch) release() {
 	b.N = 0
 }
 
-// BatchPlan is a physical operator of the batch engine: a pull-based
-// iterator over batches. Like exec.Plan, a node carries its iterator state
-// in struct fields — a compiled batch plan is reusable but not shareable
-// between executions in flight; Clone gives each execution a private copy.
+// BatchPlan is a compiled operator of the batch engine. Like exec.Node it
+// is immutable once compiled: Open starts one execution and returns its
+// iterator, so one cached template runs in place for any number of
+// executions at once.
 type BatchPlan interface {
-	// Open prepares the iterator; params is the statement/correlation
+	// Open starts one execution; params is the statement/correlation
 	// parameter frame, constant for the whole execution.
-	Open(ctx *exec.Ctx, params types.Row) error
-	// NextBatch returns the next non-empty batch, or nil at end of stream.
-	// The batch (and its selection) is valid until the next NextBatch or
-	// Close call on the same plan.
-	NextBatch(ctx *exec.Ctx) (*Batch, error)
-	// Close releases resources (pooled vectors return to the arena pools);
-	// the plan may be re-Opened afterwards.
-	Close(ctx *exec.Ctx) error
+	Open(ctx *exec.Ctx, params types.Row) (BatchIter, error)
 	// Columns describes the output row.
 	Columns() []exec.Column
 	// Explain renders the subtree, one node per line with indent.
 	Explain(indent int) string
-	// Clone deep-copies the operator tree for an independent execution;
-	// cloneRow clones any embedded row plans (RowSource children) through
-	// the caller's exec.ClonePlan memo.
-	Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan
+}
+
+// BatchIter is one execution of a BatchPlan: a pull-based iterator over
+// batches.
+type BatchIter interface {
+	// NextBatch returns the next non-empty batch, or nil at end of stream.
+	// The batch (and its selection) is valid until the next NextBatch or
+	// Close call on the same iterator.
+	NextBatch(ctx *exec.Ctx) (*Batch, error)
+	// Close releases the execution's resources (pooled vectors return to
+	// the arena pools).
+	Close(ctx *exec.Ctx) error
 }
 
 // Collect drains a batch plan into rows (tests and benchmarks).
 func Collect(ctx *exec.Ctx, p BatchPlan, params types.Row) ([]types.Row, error) {
-	if err := p.Open(ctx, params); err != nil {
+	it, err := p.Open(ctx, params)
+	if err != nil {
 		return nil, err
 	}
-	defer p.Close(ctx)
+	defer it.Close(ctx)
 	var out []types.Row
 	for {
-		b, err := p.NextBatch(ctx)
+		b, err := it.NextBatch(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -13,8 +13,9 @@ import (
 // interpreter: the parameter frame, plus a small vector arena so operator
 // trees reuse result storage across batches. Arena slices are acquired from
 // the shared slice pools and returned by close, so steady-state executions
-// allocate nothing. One env belongs to exactly one operator instance (plans
-// are cloned per execution), so no synchronization is needed.
+// allocate nothing. One env belongs to exactly one iterator (compiled
+// plans are shared, their iterators are not), so no synchronization is
+// needed.
 type env struct {
 	params types.Row
 	ctr    *exec.Counters // statement counter sink; nil = don't count
@@ -30,12 +31,10 @@ type env struct {
 	ident   []int
 }
 
-func (e *env) open(params types.Row) {
+// open binds a fresh env to one execution's parameter frame and counters.
+func (e *env) open(ctx *exec.Ctx, params types.Row) {
 	e.params = params
-	e.used = 0
-	e.triUsed = 0
-	e.selUsed = 0
-	e.tvUsed = 0
+	e.ctr = &ctx.Counters
 }
 
 // reset recycles the arena; operators call it once per batch before
@@ -47,8 +46,8 @@ func (e *env) reset() {
 	e.tvUsed = 0
 }
 
-// close returns every arena slice to the shared pools; operators call it
-// from Close. The env may be re-opened afterwards.
+// close returns every arena slice to the shared pools; iterators call it
+// from Close.
 func (e *env) close() {
 	for _, v := range e.scratch {
 		vecPool.put(v)

@@ -103,7 +103,12 @@ type BatchHashJoin struct {
 	RightKeys   []VExpr // over right (build) rows
 	Residual    VExpr   // over concatenated rows; nil = none
 	Parallel    bool    // morsel-parallel build when the build side is a table scan
+}
 
+// joinIter is one execution of a BatchHashJoin.
+type joinIter struct {
+	*BatchHashJoin
+	left   BatchIter
 	table  map[uint64][]types.Row // entry = key values ++ build row
 	mem    memTracker             // build-side slab reservations
 	kenv   env                    // probe-key evaluation
@@ -117,68 +122,61 @@ type BatchHashJoin struct {
 	selBuf []int
 	leftW  int
 	rightW int
-	lOpen  bool
 }
 
 // Open implements BatchPlan: the hash table is built eagerly, then the
 // probe side is opened.
-func (j *BatchHashJoin) Open(ctx *exec.Ctx, params types.Row) error {
-	j.leftW = len(j.Left.Columns())
-	j.rightW = len(j.Right.Columns())
-	j.table = make(map[uint64][]types.Row)
-	j.cur = nil
-	j.pairL = j.pairL[:0]
-	j.pairR = j.pairR[:0]
-	j.ppos = 0
-	j.lOpen = false
-	j.kenv.open(params)
-	j.renv.open(params)
-	j.kenv.ctr = &ctx.Counters
-	j.renv.ctr = &ctx.Counters
-
-	built := false
-	if j.Parallel {
-		if scan, ok := j.Right.(*ScanBatch); ok {
-			var err error
-			built, err = j.parallelBuild(ctx, params, scan)
-			if err != nil {
-				return err
-			}
-		}
+func (n *BatchHashJoin) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	j := &joinIter{
+		BatchHashJoin: n,
+		table:         make(map[uint64][]types.Row),
+		leftW:         len(n.Left.Columns()),
+		rightW:        len(n.Right.Columns()),
 	}
-	if !built {
-		if err := j.seqBuild(ctx, params); err != nil {
+	j.kenv.open(ctx, params)
+	j.renv.open(ctx, params)
+	err := j.build(ctx, params)
+	if err == nil {
+		add(&ctx.Counters.HashBuilds, 1)
+		j.left, err = n.Left.Open(ctx, params)
+	}
+	if err != nil {
+		j.Close(ctx)
+		return nil, err
+	}
+	return j, nil
+}
+
+// build hashes the build side, morsel-parallel when it can.
+func (j *joinIter) build(ctx *exec.Ctx, params types.Row) error {
+	if scan, ok := j.Right.(*ScanBatch); ok && j.Parallel {
+		if built, err := j.parallelBuild(ctx, params, scan); built || err != nil {
 			return err
 		}
 	}
-	add(&ctx.Counters.HashBuilds, 1)
-	if err := j.Left.Open(ctx, params); err != nil {
-		return err
-	}
-	j.lOpen = true
-	return nil
+	return j.seqBuild(ctx, params)
 }
 
 // seqBuild drains the build child through the ordinary batch protocol.
-func (j *BatchHashJoin) seqBuild(ctx *exec.Ctx, params types.Row) error {
-	if err := j.Right.Open(ctx, params); err != nil {
+func (j *joinIter) seqBuild(ctx *exec.Ctx, params types.Row) error {
+	right, err := j.Right.Open(ctx, params)
+	if err != nil {
 		return err
 	}
 	var benv env
 	var bkeys keyCols
-	benv.open(params)
-	benv.ctr = &ctx.Counters
+	benv.open(ctx, params)
 	defer benv.close()
 	built := int64(0)
 	entryW := len(j.RightKeys) + j.rightW
 	for {
 		if err := ctx.Interrupted(); err != nil {
-			j.Right.Close(ctx)
+			right.Close(ctx)
 			return err
 		}
-		b, err := j.Right.NextBatch(ctx)
+		b, err := right.NextBatch(ctx)
 		if err != nil {
-			j.Right.Close(ctx)
+			right.Close(ctx)
 			return err
 		}
 		if b == nil {
@@ -187,26 +185,26 @@ func (j *BatchHashJoin) seqBuild(ctx *exec.Ctx, params types.Row) error {
 		// The slab retains up to one entry per selected row for the
 		// execution's lifetime; charge it before allocating.
 		if err := j.mem.reserve(ctx, rowsBytes(selCount(b), entryW)); err != nil {
-			j.Right.Close(ctx)
+			right.Close(ctx)
 			return err
 		}
 		n, err := j.buildBatch(&benv, &bkeys, b, func(h uint64, entry types.Row) {
 			j.table[h] = append(j.table[h], entry)
 		})
 		if err != nil {
-			j.Right.Close(ctx)
+			right.Close(ctx)
 			return err
 		}
 		built += int64(n)
 	}
 	add(&ctx.Counters.JoinBuildRows, built)
-	return j.Right.Close(ctx)
+	return right.Close(ctx)
 }
 
 // buildBatch hashes one build-side batch into entries via sink. Entries
 // are sliced out of one exactly-sized slab per batch (they are retained
 // for the execution's lifetime, so they cannot live in an arena).
-func (j *BatchHashJoin) buildBatch(e *env, kc *keyCols, b *Batch, sink func(uint64, types.Row)) (int, error) {
+func (j *joinIter) buildBatch(e *env, kc *keyCols, b *Batch, sink func(uint64, types.Row)) (int, error) {
 	sel := b.Sel
 	if sel == nil {
 		sel = e.identity(b.N)
@@ -253,7 +251,7 @@ type buildEnt struct {
 // back to the sequential batch drain: the table is below
 // DefaultParallelMinRows, there is only one morsel, or the pool is
 // saturated.
-func (j *BatchHashJoin) parallelBuild(ctx *exec.Ctx, params types.Row, scan *ScanBatch) (bool, error) {
+func (j *joinIter) parallelBuild(ctx *exec.Ctx, params types.Row, scan *ScanBatch) (bool, error) {
 	td, err := ctx.Store.Table(scan.Table)
 	if err != nil {
 		return false, err
@@ -296,8 +294,7 @@ func (j *BatchHashJoin) parallelBuild(ctx *exec.Ctx, params types.Row, scan *Sca
 		var bkeys keyCols
 		var batch Batch
 		var selBuf []int
-		benv.open(params)
-		benv.ctr = &ctx.Counters
+		benv.open(ctx, params)
 		defer func() {
 			batch.release()
 			selPool.put(selBuf)
@@ -347,7 +344,7 @@ func (j *BatchHashJoin) parallelBuild(ctx *exec.Ctx, params types.Row, scan *Sca
 }
 
 // buildMorsel filters and hashes one morsel into an entry run.
-func (j *BatchHashJoin) buildMorsel(e *env, kc *keyCols, batch *Batch, selBuf *[]int, pred VExpr, m morsel) ([]buildEnt, error) {
+func (j *joinIter) buildMorsel(e *env, kc *keyCols, batch *Batch, selBuf *[]int, pred VExpr, m morsel) ([]buildEnt, error) {
 	var ents []buildEnt
 	hash := func() error {
 		buf, ok, err := applyPred(pred, e, batch, *selBuf)
@@ -380,10 +377,10 @@ func (j *BatchHashJoin) buildMorsel(e *env, kc *keyCols, batch *Batch, selBuf *[
 	return ents, hash()
 }
 
-// NextBatch implements BatchPlan: pending matched pairs are emitted in
+// NextBatch implements BatchIter: pending matched pairs are emitted in
 // BatchSize chunks with the residual applied as a selection vector; when
 // the pair buffer drains, the next probe batch is pulled and probed.
-func (j *BatchHashJoin) NextBatch(ctx *exec.Ctx) (*Batch, error) {
+func (j *joinIter) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	nkeys := len(j.LeftKeys)
 	for {
 		for j.ppos < len(j.pairL) {
@@ -406,7 +403,7 @@ func (j *BatchHashJoin) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
-		b, err := j.Left.NextBatch(ctx)
+		b, err := j.left.NextBatch(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -452,7 +449,7 @@ func (j *BatchHashJoin) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 
 // emit fills the output batch with the next n matched pairs: left columns
 // gather from the current probe batch, right columns from the build rows.
-func (j *BatchHashJoin) emit(n int) {
+func (j *joinIter) emit(n int) {
 	j.out.resize(j.leftW+j.rightW, n)
 	for c := 0; c < j.leftW; c++ {
 		src := j.cur.Boxed(c)
@@ -469,23 +466,20 @@ func (j *BatchHashJoin) emit(n int) {
 	}
 }
 
-// Close implements BatchPlan.
-func (j *BatchHashJoin) Close(ctx *exec.Ctx) error {
+// Close implements BatchIter.
+func (j *joinIter) Close(ctx *exec.Ctx) error {
 	j.table = nil
 	j.mem.releaseAll(ctx)
 	j.cur = nil
-	j.pairL = j.pairL[:0]
-	j.pairR = j.pairR[:0]
 	j.out.release()
 	selPool.put(j.selBuf)
 	j.selBuf = nil
 	j.kenv.close()
 	j.renv.close()
-	if !j.lOpen {
+	if j.left == nil {
 		return nil
 	}
-	j.lOpen = false
-	return j.Left.Close(ctx)
+	return j.left.Close(ctx)
 }
 
 // Columns implements BatchPlan.
@@ -514,13 +508,4 @@ func (j *BatchHashJoin) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchHashJoin (%s)=(%s)%s%s\n%s%s", pad(indent),
 		strings.Join(lk, ", "), strings.Join(rk, ", "), res, par,
 		j.Left.Explain(indent+1), j.Right.Explain(indent+1))
-}
-
-// Clone implements BatchPlan.
-func (j *BatchHashJoin) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &BatchHashJoin{
-		Left: j.Left.Clone(cloneRow), Right: j.Right.Clone(cloneRow),
-		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
-		Parallel: j.Parallel,
-	}
 }

@@ -91,11 +91,6 @@ type ParallelAggScan struct {
 	Cols   []exec.Column // aggregate output columns
 	Width  int           // scanned table width (Pred/Groups/Aggs slot space)
 	Prune  []PruneTerm   // zone-map pruning conjuncts over the fused Pred
-
-	out []types.Row
-	mem memTracker
-	pos int
-	ob  Batch
 }
 
 // workerErr is an execution error tagged with the morsel it happened in;
@@ -107,10 +102,24 @@ type workerErr struct {
 }
 
 // Open implements BatchPlan; the aggregation is computed eagerly.
-func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) error {
+func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	gt, err := p.aggregate(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	out := &rowBatches{rows: gt.emit(), width: len(p.Cols)}
+	if err := out.mem.reserve(ctx, rowsBytes(len(out.rows), len(p.Cols))); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// aggregate folds the table's morsels, on pool-admitted workers when the
+// table is large enough, and returns the merged group table.
+func (p *ParallelAggScan) aggregate(ctx *exec.Ctx, params types.Row) (*groupTable, error) {
 	td, err := ctx.Store.Table(p.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	morsels, total, scanned, pruned := tableMorsels(td, ResolveBounds(p.Prune, params))
 	add(&ctx.Counters.SegmentsScanned, int64(scanned))
@@ -136,15 +145,13 @@ func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) error {
 		defer w.close()
 		for i := range morsels {
 			if err := ctx.Interrupted(); err != nil {
-				return err
+				return nil, err
 			}
 			if err := w.foldMorsel(i, morsels[i]); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		p.out = w.gt.emit()
-		p.pos = 0
-		return p.mem.reserve(ctx, rowsBytes(len(p.out), len(p.Cols)))
+		return w.gt, nil
 	}
 	defer grant.Release()
 	workers := grant.N() + 1
@@ -186,11 +193,9 @@ func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) error {
 		}
 	}
 	if firstErr != nil {
-		return firstErr.err
+		return nil, firstErr.err
 	}
-	p.out = mergeGroupTables(tables, p.Groups, p.Aggs).emit()
-	p.pos = 0
-	return p.mem.reserve(ctx, rowsBytes(len(p.out), len(p.Cols)))
+	return mergeGroupTables(tables, p.Groups, p.Aggs), nil
 }
 
 // aggWorker is the per-worker fold state: a private expression arena,
@@ -205,8 +210,7 @@ type aggWorker struct {
 
 func newAggWorker(ctx *exec.Ctx, p *ParallelAggScan, params types.Row) *aggWorker {
 	w := &aggWorker{p: p, gt: newGroupTable(p.Groups, p.Aggs)}
-	w.env.open(params)
-	w.env.ctr = &ctx.Counters
+	w.env.open(ctx, params)
 	return w
 }
 
@@ -299,28 +303,6 @@ func mergeGroupTables(tables []*groupTable, groupExprs []VExpr, specs []AggSpec)
 	return merged
 }
 
-// NextBatch implements BatchPlan.
-func (p *ParallelAggScan) NextBatch(*exec.Ctx) (*Batch, error) {
-	if p.pos >= len(p.out) {
-		return nil, nil
-	}
-	n := len(p.out) - p.pos
-	if n > BatchSize {
-		n = BatchSize
-	}
-	p.ob.fromRows(p.out[p.pos:p.pos+n], len(p.Cols))
-	p.pos += n
-	return &p.ob, nil
-}
-
-// Close implements BatchPlan.
-func (p *ParallelAggScan) Close(ctx *exec.Ctx) error {
-	p.out = nil
-	p.mem.releaseAll(ctx)
-	p.ob.release()
-	return nil
-}
-
 // Columns implements BatchPlan.
 func (p *ParallelAggScan) Columns() []exec.Column { return p.Cols }
 
@@ -350,11 +332,6 @@ func (p *ParallelAggScan) Explain(indent int) string {
 	}
 	return fmt.Sprintf("%sBatchParallelAggScan %s groups=(%s) aggs=(%s)%s\n",
 		pad(indent), p.Table, strings.Join(gs, ", "), strings.Join(as, ", "), f)
-}
-
-// Clone implements BatchPlan.
-func (p *ParallelAggScan) Clone(func(exec.Plan) exec.Plan) BatchPlan {
-	return &ParallelAggScan{Table: p.Table, Pred: p.Pred, Groups: p.Groups, Aggs: p.Aggs, Cols: p.Cols, Width: p.Width, Prune: p.Prune}
 }
 
 // andSeq conjoins two optional predicates with filter-chain semantics: the
@@ -534,8 +511,8 @@ func composeV(x VExpr, inputs []VExpr) (VExpr, bool) {
 // fused by composing the group/aggregate/filter expressions down to table
 // columns (projection expressions carry no state and no subplans, so
 // substitution is sound). ok is false for any other shape — index lookups
-// are small by design, limits cut the stream, and row bridges have
-// iterator state that cannot be split. Prune terms are extracted from the
+// are small by design, limits cut the stream, and row bridges pull
+// from a row plan that cannot be split. Prune terms are extracted from the
 // fused predicate, which folds downstream filters into the scan and so can
 // prune more than the scan's own conjuncts alone.
 func ParallelizeAgg(a *HashAggBatch) (BatchPlan, bool) {

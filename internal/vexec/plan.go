@@ -14,38 +14,41 @@ func pad(n int) string { return strings.Repeat("  ", n) }
 
 func add(c *int64, n int64) { atomic.AddInt64(c, n) }
 
-// chunker streams a materialized row slice as filtered batches; the two
-// leaf operators (table scan and index lookup) share its state machine,
-// including the skip-empty-selection loop and selection-buffer reuse.
+// chunker streams a materialized row slice as filtered batches: the
+// iterator of the two row-major leaf operators (table scan and index
+// lookup), including the skip-empty-selection loop and selection-buffer
+// reuse.
 type chunker struct {
 	rows   []types.Row
 	pos    int
+	width  int
+	pred   VExpr
+	scan   bool // rows count as scanned
 	env    env
 	batch  Batch
 	selBuf []int
 }
 
-func (c *chunker) open(rows []types.Row, params types.Row) {
-	c.rows = rows
-	c.pos = 0
-	c.env.open(params)
+func newChunker(ctx *exec.Ctx, params types.Row, rows []types.Row, width int, pred VExpr, scan bool) *chunker {
+	c := &chunker{rows: rows, width: width, pred: pred, scan: scan}
+	c.env.open(ctx, params)
+	return c
 }
 
-// next transposes the following chunk, applies pred as a selection vector
-// and skips fully filtered chunks; scanned, when non-nil, accumulates the
-// physical row count.
-func (c *chunker) next(width int, pred VExpr, scanned *int64) (*Batch, error) {
+// NextBatch transposes the following chunk, applies the predicate as a
+// selection vector and skips fully filtered chunks.
+func (c *chunker) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	for c.pos < len(c.rows) {
 		n := len(c.rows) - c.pos
 		if n > BatchSize {
 			n = BatchSize
 		}
-		c.batch.fromRows(c.rows[c.pos:c.pos+n], width)
+		c.batch.fromRows(c.rows[c.pos:c.pos+n], c.width)
 		c.pos += n
-		if scanned != nil {
-			add(scanned, int64(n))
+		if c.scan {
+			add(&ctx.Counters.RowsScanned, int64(n))
 		}
-		buf, ok, err := applyPred(pred, &c.env, &c.batch, c.selBuf)
+		buf, ok, err := applyPred(c.pred, &c.env, &c.batch, c.selBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -58,13 +61,14 @@ func (c *chunker) next(width int, pred VExpr, scanned *int64) (*Batch, error) {
 	return nil, nil
 }
 
-// close returns the chunker's pooled storage.
-func (c *chunker) close() {
+// Close returns the chunker's pooled storage.
+func (c *chunker) Close(*exec.Ctx) error {
 	c.rows = nil
 	c.batch.release()
 	selPool.put(c.selBuf)
 	c.selBuf = nil
 	c.env.close()
+	return nil
 }
 
 // colChunker streams colstore segment views as filtered batches: each view
@@ -77,18 +81,14 @@ func (c *chunker) close() {
 type colChunker struct {
 	views  []colstore.TypedView
 	pos    int
+	pred   VExpr
 	env    env
 	batch  Batch
 	selBuf []int
 }
 
-func (c *colChunker) open(views []colstore.TypedView, params types.Row) {
-	c.views = views
-	c.pos = 0
-	c.env.open(params)
-}
-
-func (c *colChunker) next(pred VExpr, scanned *int64) (*Batch, error) {
+// NextBatch implements BatchIter.
+func (c *colChunker) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	for c.pos < len(c.views) {
 		v := &c.views[c.pos]
 		c.pos++
@@ -97,10 +97,8 @@ func (c *colChunker) next(pred VExpr, scanned *int64) (*Batch, error) {
 			continue
 		}
 		c.batch.fromTypedView(v)
-		if scanned != nil {
-			add(scanned, int64(live))
-		}
-		buf, ok, err := applyPred(pred, &c.env, &c.batch, c.selBuf)
+		add(&ctx.Counters.RowsScanned, int64(live))
+		buf, ok, err := applyPred(c.pred, &c.env, &c.batch, c.selBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -113,13 +111,14 @@ func (c *colChunker) next(pred VExpr, scanned *int64) (*Batch, error) {
 	return nil, nil
 }
 
-// close returns the chunker's pooled storage.
-func (c *colChunker) close() {
+// Close returns the chunker's pooled storage.
+func (c *colChunker) Close(*exec.Ctx) error {
 	c.views = nil
 	c.batch.release()
 	selPool.put(c.selBuf)
 	c.selBuf = nil
 	c.env.close()
+	return nil
 }
 
 // --- ScanBatch ---
@@ -137,45 +136,22 @@ type ScanBatch struct {
 	Pred  VExpr // nil = no filter
 	Cols  []exec.Column
 	Prune []PruneTerm
-
-	ch      chunker
-	cc      colChunker
-	colMode bool
 }
 
 // Open implements BatchPlan.
-func (s *ScanBatch) Open(ctx *exec.Ctx, params types.Row) error {
+func (s *ScanBatch) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
 	td, err := ctx.Store.Table(s.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.cc.env.ctr = &ctx.Counters
-	s.ch.env.ctr = &ctx.Counters
 	if views, pruned, ok := td.TypedColumnViews(ResolveBounds(s.Prune, params)); ok {
-		s.colMode = true
 		add(&ctx.Counters.SegmentsScanned, int64(len(views)))
 		add(&ctx.Counters.SegmentsPruned, int64(pruned))
-		s.cc.open(views, params)
-		return nil
+		c := &colChunker{views: views, pred: s.Pred}
+		c.env.open(ctx, params)
+		return c, nil
 	}
-	s.colMode = false
-	s.ch.open(td.Snapshot(), params)
-	return nil
-}
-
-// NextBatch implements BatchPlan.
-func (s *ScanBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
-	if s.colMode {
-		return s.cc.next(s.Pred, &ctx.Counters.RowsScanned)
-	}
-	return s.ch.next(len(s.Cols), s.Pred, &ctx.Counters.RowsScanned)
-}
-
-// Close implements BatchPlan.
-func (s *ScanBatch) Close(*exec.Ctx) error {
-	s.ch.close()
-	s.cc.close()
-	return nil
+	return newChunker(ctx, params, td.Snapshot(), len(s.Cols), s.Pred, true), nil
 }
 
 // Columns implements BatchPlan.
@@ -193,12 +169,6 @@ func (s *ScanBatch) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchScan %s%s\n", pad(indent), s.Table, f)
 }
 
-// Clone implements BatchPlan. Vectorized expressions are stateless and
-// shared; only iterator state is per-instance.
-func (s *ScanBatch) Clone(func(exec.Plan) exec.Plan) BatchPlan {
-	return &ScanBatch{Table: s.Table, Pred: s.Pred, Cols: s.Cols, Prune: s.Prune}
-}
-
 // --- IndexLookupBatch ---
 
 // IndexLookupBatch probes an index once at Open (key expressions are
@@ -209,48 +179,32 @@ type IndexLookupBatch struct {
 	Keys         []exec.Expr // row-style, parameter-frame only
 	Pred         VExpr
 	Cols         []exec.Column
-
-	matches []types.Row
-	ch      chunker
 }
 
 // Open implements BatchPlan.
-func (p *IndexLookupBatch) Open(ctx *exec.Ctx, params types.Row) error {
+func (p *IndexLookupBatch) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
 	td, err := ctx.Store.Table(p.Table)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.matches = p.matches[:0]
+	var matches []types.Row
 	key, ok, err := exec.ProbeKey(p.Keys, &exec.Env{Params: params, Ctx: ctx})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ok {
 		rids, err := td.IndexLookup(p.Index, key)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		add(&ctx.Counters.IndexLookups, 1)
 		for _, rid := range rids {
 			if row, ok := td.Get(rid); ok {
-				p.matches = append(p.matches, row)
+				matches = append(matches, row)
 			}
 		}
 	}
-	p.ch.open(p.matches, params)
-	p.ch.env.ctr = &ctx.Counters
-	return nil
-}
-
-// NextBatch implements BatchPlan.
-func (p *IndexLookupBatch) NextBatch(*exec.Ctx) (*Batch, error) {
-	return p.ch.next(len(p.Cols), p.Pred, nil)
-}
-
-// Close implements BatchPlan.
-func (p *IndexLookupBatch) Close(*exec.Ctx) error {
-	p.ch.close()
-	return nil
+	return newChunker(ctx, params, matches, len(p.Cols), p.Pred, false), nil
 }
 
 // Columns implements BatchPlan.
@@ -269,37 +223,39 @@ func (p *IndexLookupBatch) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchIndexLookup %s.%s keys=(%s)%s\n", pad(indent), p.Table, p.Index, strings.Join(keys, ", "), f)
 }
 
-// Clone implements BatchPlan.
-func (p *IndexLookupBatch) Clone(func(exec.Plan) exec.Plan) BatchPlan {
-	return &IndexLookupBatch{Table: p.Table, Index: p.Index, Keys: p.Keys, Pred: p.Pred, Cols: p.Cols}
-}
-
 // --- FilterBatch ---
 
 // FilterBatch narrows the selection vector of its child's batches.
 type FilterBatch struct {
 	Child BatchPlan
 	Pred  VExpr
+}
 
+// Open implements BatchPlan.
+func (f *FilterBatch) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	child, err := f.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	it := &filterIter{child: child, pred: f.Pred}
+	it.env.open(ctx, params)
+	return it, nil
+}
+
+type filterIter struct {
+	child  BatchIter
+	pred   VExpr
 	env    env
 	selBuf []int
 }
 
-// Open implements BatchPlan.
-func (f *FilterBatch) Open(ctx *exec.Ctx, params types.Row) error {
-	f.env.open(params)
-	f.env.ctr = &ctx.Counters
-	return f.Child.Open(ctx, params)
-}
-
-// NextBatch implements BatchPlan.
-func (f *FilterBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
+func (f *filterIter) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	for {
-		b, err := f.Child.NextBatch(ctx)
+		b, err := f.child.NextBatch(ctx)
 		if err != nil || b == nil {
 			return b, err
 		}
-		buf, ok, err := applyPred(f.Pred, &f.env, b, f.selBuf)
+		buf, ok, err := applyPred(f.pred, &f.env, b, f.selBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -311,12 +267,11 @@ func (f *FilterBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	}
 }
 
-// Close implements BatchPlan.
-func (f *FilterBatch) Close(ctx *exec.Ctx) error {
+func (f *filterIter) Close(ctx *exec.Ctx) error {
 	selPool.put(f.selBuf)
 	f.selBuf = nil
 	f.env.close()
-	return f.Child.Close(ctx)
+	return f.child.Close(ctx)
 }
 
 // Columns implements BatchPlan.
@@ -327,11 +282,6 @@ func (f *FilterBatch) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchFilter %s\n%s", pad(indent), f.Pred.String(), f.Child.Explain(indent+1))
 }
 
-// Clone implements BatchPlan.
-func (f *FilterBatch) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &FilterBatch{Child: f.Child.Clone(cloneRow), Pred: f.Pred}
-}
-
 // --- ProjectBatch ---
 
 // ProjectBatch computes the output expressions, compacting the selection
@@ -340,21 +290,28 @@ type ProjectBatch struct {
 	Child BatchPlan
 	Exprs []VExpr
 	Cols  []exec.Column
-
-	env env
-	out Batch
 }
 
 // Open implements BatchPlan.
-func (p *ProjectBatch) Open(ctx *exec.Ctx, params types.Row) error {
-	p.env.open(params)
-	p.env.ctr = &ctx.Counters
-	return p.Child.Open(ctx, params)
+func (p *ProjectBatch) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	child, err := p.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	it := &projectIter{child: child, exprs: p.Exprs}
+	it.env.open(ctx, params)
+	return it, nil
 }
 
-// NextBatch implements BatchPlan.
-func (p *ProjectBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
-	b, err := p.Child.NextBatch(ctx)
+type projectIter struct {
+	child BatchIter
+	exprs []VExpr
+	env   env
+	out   Batch
+}
+
+func (p *projectIter) NextBatch(ctx *exec.Ctx) (*Batch, error) {
+	b, err := p.child.NextBatch(ctx)
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -363,12 +320,12 @@ func (p *ProjectBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 		sel = p.env.identity(b.N)
 	}
 	p.env.reset()
-	p.out.resize(len(p.Exprs), len(sel))
-	for c, ex := range p.Exprs {
+	p.out.resize(len(p.exprs), len(sel))
+	for c, ex := range p.exprs {
 		// Typed expressions stay typed across the projection: the gather
 		// compacts payload arrays and null bits instead of boxing, so a
 		// downstream aggregate keeps its unboxed fold. The gathered vector
-		// lives in the operator arena, which is reset on the next
+		// lives in the iterator's arena, which is reset on the next
 		// NextBatch — exactly the output batch's validity window.
 		tv, err := evalTypedOf(ex, &p.env, b, sel)
 		if err != nil {
@@ -390,11 +347,10 @@ func (p *ProjectBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	return &p.out, nil
 }
 
-// Close implements BatchPlan.
-func (p *ProjectBatch) Close(ctx *exec.Ctx) error {
+func (p *projectIter) Close(ctx *exec.Ctx) error {
 	p.out.release()
 	p.env.close()
-	return p.Child.Close(ctx)
+	return p.child.Close(ctx)
 }
 
 // Columns implements BatchPlan.
@@ -409,11 +365,6 @@ func (p *ProjectBatch) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchProject %s\n%s", pad(indent), strings.Join(exprs, ", "), p.Child.Explain(indent+1))
 }
 
-// Clone implements BatchPlan.
-func (p *ProjectBatch) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &ProjectBatch{Child: p.Child.Clone(cloneRow), Exprs: p.Exprs, Cols: p.Cols}
-}
-
 // --- LimitBatch ---
 
 // LimitBatch stops the stream after N logical rows, truncating the final
@@ -421,40 +372,42 @@ func (p *ProjectBatch) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
 type LimitBatch struct {
 	Child BatchPlan
 	N     int
-
-	emitted int
 }
 
 // Open implements BatchPlan.
-func (l *LimitBatch) Open(ctx *exec.Ctx, params types.Row) error {
-	l.emitted = 0
-	return l.Child.Open(ctx, params)
+func (l *LimitBatch) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	child, err := l.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &limitIter{child: child, left: l.N}, nil
 }
 
-// NextBatch implements BatchPlan.
-func (l *LimitBatch) NextBatch(ctx *exec.Ctx) (*Batch, error) {
-	if l.emitted >= l.N {
+type limitIter struct {
+	child BatchIter
+	left  int
+}
+
+func (l *limitIter) NextBatch(ctx *exec.Ctx) (*Batch, error) {
+	if l.left <= 0 {
 		return nil, nil
 	}
-	b, err := l.Child.NextBatch(ctx)
+	b, err := l.child.NextBatch(ctx)
 	if err != nil || b == nil {
 		return nil, err
 	}
-	remain := l.N - l.emitted
-	if b.Len() > remain {
+	if b.Len() > l.left {
 		if b.Sel != nil {
-			b.Sel = b.Sel[:remain]
+			b.Sel = b.Sel[:l.left]
 		} else {
-			b.Sel = nil
-			b.N = remain
+			b.N = l.left
 		}
 	}
-	l.emitted += b.Len()
+	l.left -= b.Len()
 	return b, nil
 }
 
-// Close implements BatchPlan.
-func (l *LimitBatch) Close(ctx *exec.Ctx) error { return l.Child.Close(ctx) }
+func (l *limitIter) Close(ctx *exec.Ctx) error { return l.child.Close(ctx) }
 
 // Columns implements BatchPlan.
 func (l *LimitBatch) Columns() []exec.Column { return l.Child.Columns() }
@@ -464,11 +417,6 @@ func (l *LimitBatch) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchLimit %d\n%s", pad(indent), l.N, l.Child.Explain(indent+1))
 }
 
-// Clone implements BatchPlan.
-func (l *LimitBatch) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &LimitBatch{Child: l.Child.Clone(cloneRow), N: l.N}
-}
-
 // --- RowSource (row → batch bridge) ---
 
 // RowSource adapts any row plan into the batch engine: it pulls rows from
@@ -476,21 +424,27 @@ func (l *LimitBatch) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
 // above it still win their amortization even when the source is row-based
 // (a join, a spool, a union).
 type RowSource struct {
-	Plan exec.Plan
+	Plan exec.Node
+}
 
+// Open implements BatchPlan.
+func (r *RowSource) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	it, err := r.Plan.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &rowSourceIter{it: it, width: len(r.Plan.Columns())}, nil
+}
+
+type rowSourceIter struct {
+	it    exec.Iter
+	width int
 	batch Batch
 	buf   []types.Row
 	eof   bool
 }
 
-// Open implements BatchPlan.
-func (r *RowSource) Open(ctx *exec.Ctx, params types.Row) error {
-	r.eof = false
-	return r.Plan.Open(ctx, params)
-}
-
-// NextBatch implements BatchPlan.
-func (r *RowSource) NextBatch(ctx *exec.Ctx) (*Batch, error) {
+func (r *rowSourceIter) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	if r.eof {
 		return nil, nil
 	}
@@ -499,7 +453,7 @@ func (r *RowSource) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	}
 	r.buf = r.buf[:0]
 	for len(r.buf) < BatchSize {
-		row, err := r.Plan.Next(ctx)
+		row, err := r.it.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -512,14 +466,13 @@ func (r *RowSource) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	if len(r.buf) == 0 {
 		return nil, nil
 	}
-	r.batch.fromRows(r.buf, len(r.Plan.Columns()))
+	r.batch.fromRows(r.buf, r.width)
 	return &r.batch, nil
 }
 
-// Close implements BatchPlan.
-func (r *RowSource) Close(ctx *exec.Ctx) error {
+func (r *rowSourceIter) Close(ctx *exec.Ctx) error {
 	r.batch.release()
-	return r.Plan.Close(ctx)
+	return r.it.Close(ctx)
 }
 
 // Columns implements BatchPlan.
@@ -530,36 +483,31 @@ func (r *RowSource) Explain(indent int) string {
 	return fmt.Sprintf("%sRowSource\n%s", pad(indent), r.Plan.Explain(indent+1))
 }
 
-// Clone implements BatchPlan: the embedded row plan is cloned through the
-// caller's exec.ClonePlan memo so shared DAG nodes stay shared.
-func (r *RowSource) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &RowSource{Plan: cloneRow(r.Plan)}
-}
-
 // --- BatchToRow (batch → row bridge) ---
 
 // BatchToRow drains a batch pipeline back into the row iterator protocol,
 // so lowered plan fragments compose with every row operator (joins, sorts,
-// spools) and with exec.Collect. It implements exec.Plan and participates
-// in exec.ClonePlan through the SelfCloner hook.
+// spools) and with exec.Collect. It is an exec.Node.
 type BatchToRow struct {
 	Child BatchPlan
-
-	cur *Batch
-	pos int
 }
 
-var _ exec.SelfCloner = (*BatchToRow)(nil)
-
-// Open implements exec.Plan.
-func (p *BatchToRow) Open(ctx *exec.Ctx, params types.Row) error {
-	p.cur = nil
-	p.pos = 0
-	return p.Child.Open(ctx, params)
+// Open implements exec.Node.
+func (p *BatchToRow) Open(ctx *exec.Ctx, params types.Row) (exec.Iter, error) {
+	child, err := p.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	return &batchToRowIter{child: child}, nil
 }
 
-// Next implements exec.Plan.
-func (p *BatchToRow) Next(ctx *exec.Ctx) (types.Row, error) {
+type batchToRowIter struct {
+	child BatchIter
+	cur   *Batch
+	pos   int
+}
+
+func (p *batchToRowIter) Next(ctx *exec.Ctx) (types.Row, error) {
 	for {
 		if p.cur != nil {
 			if p.cur.Sel != nil {
@@ -574,7 +522,7 @@ func (p *BatchToRow) Next(ctx *exec.Ctx) (types.Row, error) {
 				return row, nil
 			}
 		}
-		b, err := p.Child.NextBatch(ctx)
+		b, err := p.child.NextBatch(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -587,21 +535,43 @@ func (p *BatchToRow) Next(ctx *exec.Ctx) (types.Row, error) {
 	}
 }
 
-// Close implements exec.Plan.
-func (p *BatchToRow) Close(ctx *exec.Ctx) error {
+func (p *batchToRowIter) Close(ctx *exec.Ctx) error {
 	p.cur = nil
-	return p.Child.Close(ctx)
+	return p.child.Close(ctx)
 }
 
-// Columns implements exec.Plan.
+// Columns implements exec.Node.
 func (p *BatchToRow) Columns() []exec.Column { return p.Child.Columns() }
 
-// Explain implements exec.Plan.
+// Explain implements exec.Node.
 func (p *BatchToRow) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchPipeline\n%s", pad(indent), p.Child.Explain(indent+1))
 }
 
-// CloneWith implements exec.SelfCloner.
-func (p *BatchToRow) CloneWith(cloneChild func(exec.Plan) exec.Plan) exec.Plan {
-	return &BatchToRow{Child: p.Child.Clone(cloneChild)}
+// rowBatches replays materialized rows in batches — the output of the
+// blocking operators (sort, aggregation) — and returns the operator's
+// memory reservation at Close.
+type rowBatches struct {
+	rows  []types.Row
+	pos   int
+	width int
+	ob    Batch
+	mem   memTracker
+}
+
+func (r *rowBatches) NextBatch(*exec.Ctx) (*Batch, error) {
+	if r.pos >= len(r.rows) {
+		return nil, nil
+	}
+	n := min(len(r.rows)-r.pos, BatchSize)
+	r.ob.fromRows(r.rows[r.pos:r.pos+n], r.width)
+	r.pos += n
+	return &r.ob, nil
+}
+
+func (r *rowBatches) Close(ctx *exec.Ctx) error {
+	r.rows = nil
+	r.ob.release()
+	r.mem.releaseAll(ctx)
+	return nil
 }

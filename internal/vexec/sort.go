@@ -36,14 +36,16 @@ type BatchSort struct {
 	Keys     []VExpr
 	Desc     []bool
 	Parallel bool
+}
 
+// sorter is the build state of one BatchSort execution.
+type sorter struct {
+	*BatchSort
 	env   env
 	keys  keyCols
 	rows  []types.Row
 	kr    []types.Row // key tuple per row of the current chunk
-	pos   int
 	width int
-	ob    Batch
 
 	mem        memTracker
 	keyBytes   int64 // reservation held for s.kr
@@ -55,31 +57,49 @@ type BatchSort struct {
 }
 
 // Open implements BatchPlan; the sort is computed eagerly.
-func (s *BatchSort) Open(ctx *exec.Ctx, params types.Row) error {
-	if err := s.Child.Open(ctx, params); err != nil {
-		return err
+func (n *BatchSort) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	child, err := n.Child.Open(ctx, params)
+	if err != nil {
+		return nil, err
 	}
-	s.env.open(params)
-	s.env.ctr = &ctx.Counters
-	s.rows = s.rows[:0]
-	s.kr = s.kr[:0]
-	s.pos = 0
-	s.keyBytes = 0
-	s.chunkStart = 0
-	s.chunks = s.chunks[:0]
-	s.degraded = false
-	s.width = len(s.Child.Columns())
+	s := &sorter{BatchSort: n, width: len(n.Child.Columns())}
+	s.env.open(ctx, params)
+	err = s.load(ctx, child)
+	if cerr := child.Close(ctx); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		if s.degraded {
+			s.finalizeChunk(ctx)
+			err = s.mergeChunks(ctx)
+		} else {
+			s.sortRows(ctx)
+			s.mem.releaseN(ctx, s.keyBytes)
+		}
+	}
+	s.env.close()
+	s.kb.release()
+	out := &rowBatches{rows: s.rows, width: s.width, mem: s.mem}
+	if err != nil {
+		out.Close(ctx)
+		return nil, err
+	}
+	return out, nil
+}
+
+// load drains the child, boxing each row and its key tuple.
+func (s *sorter) load(ctx *exec.Ctx, child BatchIter) error {
 	nk := len(s.Keys)
 	for {
 		if err := ctx.Interrupted(); err != nil {
 			return err
 		}
-		b, err := s.Child.NextBatch(ctx)
+		b, err := child.NextBatch(ctx)
 		if err != nil {
 			return err
 		}
 		if b == nil {
-			break
+			return nil
 		}
 		sel := b.Sel
 		if sel == nil {
@@ -114,25 +134,13 @@ func (s *BatchSort) Open(ctx *exec.Ctx, params types.Row) error {
 			s.kr = append(s.kr, key)
 		}
 	}
-	if err := s.Child.Close(ctx); err != nil {
-		return err
-	}
-	if s.degraded {
-		s.finalizeChunk(ctx)
-		return s.mergeChunks(ctx)
-	}
-	s.sortRows(ctx)
-	s.kr = nil
-	s.mem.releaseN(ctx, s.keyBytes)
-	s.keyBytes = 0
-	return nil
 }
 
 // finalizeChunk stable-sorts the rows accumulated since chunkStart by
 // their key tuples, records the chunk boundary, and releases the key
 // memory — the degraded-mode step taken whenever the next batch of keys
 // no longer fits the budget.
-func (s *BatchSort) finalizeChunk(ctx *exec.Ctx) {
+func (s *sorter) finalizeChunk(ctx *exec.Ctx) {
 	if !s.degraded {
 		s.degraded = true
 		add(&ctx.Counters.MemFallbacks, 1)
@@ -166,7 +174,7 @@ func (s *BatchSort) finalizeChunk(ctx *exec.Ctx) {
 // rowKey re-evaluates the sort keys of one materialized row through a
 // one-row scratch batch — the lazy per-head evaluation of the degraded
 // merge.
-func (s *BatchSort) rowKey(row types.Row) (types.Row, error) {
+func (s *sorter) rowKey(row types.Row) (types.Row, error) {
 	s.krow[0] = row
 	s.kb.fromRows(s.krow[:], s.width)
 	s.env.reset()
@@ -185,7 +193,7 @@ func (s *BatchSort) rowKey(row types.Row) (types.Row, error) {
 // smallest head key wins, ties resolve to the earliest chunk (earlier
 // chunks hold earlier input rows), reproducing the one-shot stable
 // sort's order with only O(#chunks) key tuples live.
-func (s *BatchSort) mergeChunks(ctx *exec.Ctx) error {
+func (s *sorter) mergeChunks(ctx *exec.Ctx) error {
 	k := len(s.chunks)
 	if k <= 1 {
 		return nil
@@ -238,7 +246,7 @@ func (s *BatchSort) mergeChunks(ctx *exec.Ctx) error {
 
 // sortRows orders s.rows by s.kr, stable, splitting across pool workers
 // for large inputs.
-func (s *BatchSort) sortRows(ctx *exec.Ctx) {
+func (s *sorter) sortRows(ctx *exec.Ctx) {
 	n := len(s.rows)
 	if n < 2 {
 		return
@@ -317,40 +325,13 @@ func (s *BatchSort) sortRows(ctx *exec.Ctx) {
 
 // apply reorders rows (and drops the key tuples) per the sorted
 // permutation.
-func (s *BatchSort) apply(perm []int) {
+func (s *sorter) apply(perm []int) {
 	out := make([]types.Row, len(perm))
 	for o, i := range perm {
 		out[o] = s.rows[i]
 	}
 	s.rows = out
 	s.kr = nil
-}
-
-// NextBatch implements BatchPlan.
-func (s *BatchSort) NextBatch(*exec.Ctx) (*Batch, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	n := len(s.rows) - s.pos
-	if n > BatchSize {
-		n = BatchSize
-	}
-	s.ob.fromRows(s.rows[s.pos:s.pos+n], s.width)
-	s.pos += n
-	return &s.ob, nil
-}
-
-// Close implements BatchPlan.
-func (s *BatchSort) Close(ctx *exec.Ctx) error {
-	s.rows = nil
-	s.kr = nil
-	s.chunks = s.chunks[:0]
-	s.ob.release()
-	s.kb.release()
-	s.mem.releaseAll(ctx)
-	s.keyBytes = 0
-	s.env.close()
-	return nil
 }
 
 // Columns implements BatchPlan.
@@ -366,12 +347,6 @@ func (s *BatchSort) Explain(indent int) string {
 		}
 	}
 	return fmt.Sprintf("%sBatchSort %s\n%s", pad(indent), strings.Join(keys, ", "), s.Child.Explain(indent+1))
-}
-
-// Clone implements BatchPlan.
-func (s *BatchSort) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &BatchSort{Child: s.Child.Clone(cloneRow), Keys: s.Keys, Desc: s.Desc,
-		Parallel: s.Parallel}
 }
 
 // batchRowHash combines the column hashes of physical row i without boxing
@@ -394,8 +369,6 @@ func batchRowHash(b *Batch, i int) uint64 {
 type dedup struct {
 	seen map[uint64][]types.Row
 }
-
-func (d *dedup) init() { d.seen = make(map[uint64][]types.Row) }
 
 // filter appends the physical indexes of b's first-occurrence rows to
 // buf[:0] and returns it.
@@ -436,49 +409,12 @@ func (d *dedup) filter(b *Batch, buf []int) []int {
 // occurrence wins, child order preserved.
 type BatchDistinct struct {
 	Child BatchPlan
-
-	dd     dedup
-	mem    memTracker
-	selBuf []int
 }
 
-// Open implements BatchPlan.
-func (d *BatchDistinct) Open(ctx *exec.Ctx, params types.Row) error {
-	d.dd.init()
-	return d.Child.Open(ctx, params)
-}
-
-// NextBatch implements BatchPlan.
-func (d *BatchDistinct) NextBatch(ctx *exec.Ctx) (*Batch, error) {
-	for {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
-		b, err := d.Child.NextBatch(ctx)
-		if err != nil || b == nil {
-			return b, err
-		}
-		d.selBuf = d.dd.filter(b, d.selBuf)
-		if len(d.selBuf) == 0 {
-			continue
-		}
-		// Every surviving row was boxed into the seen table and is
-		// retained for the execution's lifetime.
-		if err := d.mem.reserve(ctx, rowsBytes(len(d.selBuf), len(b.Cols))); err != nil {
-			return nil, err
-		}
-		b.Sel = d.selBuf
-		return b, nil
-	}
-}
-
-// Close implements BatchPlan.
-func (d *BatchDistinct) Close(ctx *exec.Ctx) error {
-	d.dd.seen = nil
-	d.mem.releaseAll(ctx)
-	selPool.put(d.selBuf)
-	d.selBuf = nil
-	return d.Child.Close(ctx)
+// Open implements BatchPlan: a distinct is a deduplicating union of one
+// branch.
+func (d *BatchDistinct) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	return openUnion(ctx, params, []BatchPlan{d.Child}, true)
 }
 
 // Columns implements BatchPlan.
@@ -489,42 +425,49 @@ func (d *BatchDistinct) Explain(indent int) string {
 	return fmt.Sprintf("%sBatchDistinct\n%s", pad(indent), d.Child.Explain(indent+1))
 }
 
-// Clone implements BatchPlan.
-func (d *BatchDistinct) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	return &BatchDistinct{Child: d.Child.Clone(cloneRow)}
-}
-
 // BatchUnion concatenates branch streams; Distinct adds set semantics with
 // the dedup state shared across branches. Like exec.UnionPlan, every
 // branch is opened at Open and the branches drain in order.
 type BatchUnion struct {
 	Children []BatchPlan
 	Distinct bool
-
-	cur    int
-	dd     dedup
-	mem    memTracker
-	selBuf []int
 }
 
 // Open implements BatchPlan.
-func (u *BatchUnion) Open(ctx *exec.Ctx, params types.Row) error {
-	u.cur = 0
-	if u.Distinct {
-		u.dd.init()
-	}
-	for _, c := range u.Children {
-		if err := c.Open(ctx, params); err != nil {
-			return err
-		}
-	}
-	return nil
+func (u *BatchUnion) Open(ctx *exec.Ctx, params types.Row) (BatchIter, error) {
+	return openUnion(ctx, params, u.Children, u.Distinct)
 }
 
-// NextBatch implements BatchPlan.
-func (u *BatchUnion) NextBatch(ctx *exec.Ctx) (*Batch, error) {
-	for u.cur < len(u.Children) {
-		b, err := u.Children[u.cur].NextBatch(ctx)
+func openUnion(ctx *exec.Ctx, params types.Row, children []BatchPlan, distinct bool) (BatchIter, error) {
+	it := &unionIter{children: make([]BatchIter, 0, len(children))}
+	if distinct {
+		it.dd = &dedup{seen: make(map[uint64][]types.Row)}
+	}
+	for _, c := range children {
+		child, err := c.Open(ctx, params)
+		if err != nil {
+			it.Close(ctx)
+			return nil, err
+		}
+		it.children = append(it.children, child)
+	}
+	return it, nil
+}
+
+type unionIter struct {
+	children []BatchIter
+	cur      int
+	dd       *dedup // nil = keep duplicates
+	mem      memTracker
+	selBuf   []int
+}
+
+func (u *unionIter) NextBatch(ctx *exec.Ctx) (*Batch, error) {
+	for u.cur < len(u.children) {
+		if err := ctx.Interrupted(); err != nil {
+			return nil, err
+		}
+		b, err := u.children[u.cur].NextBatch(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -532,11 +475,13 @@ func (u *BatchUnion) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 			u.cur++
 			continue
 		}
-		if u.Distinct {
+		if u.dd != nil {
 			u.selBuf = u.dd.filter(b, u.selBuf)
 			if len(u.selBuf) == 0 {
 				continue
 			}
+			// Every surviving row was boxed into the seen table and is
+			// retained for the execution's lifetime.
 			if err := u.mem.reserve(ctx, rowsBytes(len(u.selBuf), len(b.Cols))); err != nil {
 				return nil, err
 			}
@@ -547,14 +492,13 @@ func (u *BatchUnion) NextBatch(ctx *exec.Ctx) (*Batch, error) {
 	return nil, nil
 }
 
-// Close implements BatchPlan.
-func (u *BatchUnion) Close(ctx *exec.Ctx) error {
-	u.dd.seen = nil
+func (u *unionIter) Close(ctx *exec.Ctx) error {
+	u.dd = nil
 	u.mem.releaseAll(ctx)
 	selPool.put(u.selBuf)
 	u.selBuf = nil
 	var first error
-	for _, c := range u.Children {
+	for _, c := range u.children {
 		if err := c.Close(ctx); err != nil && first == nil {
 			first = err
 		}
@@ -577,13 +521,4 @@ func (u *BatchUnion) Explain(indent int) string {
 		b.WriteString(c.Explain(indent + 1))
 	}
 	return b.String()
-}
-
-// Clone implements BatchPlan.
-func (u *BatchUnion) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
-	cs := make([]BatchPlan, len(u.Children))
-	for i, c := range u.Children {
-		cs[i] = c.Clone(cloneRow)
-	}
-	return &BatchUnion{Children: cs, Distinct: u.Distinct}
 }

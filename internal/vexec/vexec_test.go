@@ -149,7 +149,7 @@ func TestLimitBatchAcrossBoundaries(t *testing.T) {
 
 func TestHashAggBatchMatchesRowAgg(t *testing.T) {
 	s := testStore(t)
-	mkRow := func() exec.Plan {
+	mkRow := func() exec.Node {
 		return &exec.AggPlan{
 			Child:  &exec.ScanPlan{Table: "T", Cols: tCols()},
 			Groups: []exec.Expr{&exec.Slot{Idx: 2}},
@@ -244,20 +244,42 @@ func TestBatchToRowBridgeAndClone(t *testing.T) {
 		Child: &ScanBatch{Table: "T", Cols: tCols()},
 		Pred:  pred,
 	}}
-	// Clone through exec.ClonePlan (the SelfCloner hook) and run original
-	// and clone back to back: both must produce the full result.
-	clone := exec.ClonePlan(bridge)
-	for name, p := range map[string]exec.Plan{"original": bridge, "clone": clone} {
-		rows, err := exec.Collect(exec.NewCtx(s), p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(rows) != 100 {
-			t.Fatalf("%s returned %d rows, want 100", name, len(rows))
+	// Two handles over the one compiled bridge, open at the same time and
+	// pulled in turn: each execution keeps its own iterators, so both must
+	// produce the full result.
+	orig := exec.NewPlan(bridge)
+	clone := exec.ClonePlan(orig)
+	if clone == orig || clone.Root() != orig.Root() {
+		t.Fatal("ClonePlan must return a new handle over the same root")
+	}
+	ctx := exec.NewCtx(s)
+	for _, p := range []exec.Plan{orig, clone} {
+		if err := p.Open(ctx, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if clone == exec.Plan(bridge) {
-		t.Fatal("ClonePlan returned the same instance")
+	counts := map[exec.Plan]int{}
+	for done := 0; done < 2; {
+		done = 0
+		for _, p := range []exec.Plan{orig, clone} {
+			row, err := p.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				done++
+				continue
+			}
+			counts[p]++
+		}
+	}
+	for _, p := range []exec.Plan{orig, clone} {
+		if err := p.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if counts[p] != 100 {
+			t.Fatalf("interleaved execution returned %d rows, want 100", counts[p])
+		}
 	}
 }
 

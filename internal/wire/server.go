@@ -471,8 +471,8 @@ func (s *Server) handleStats(w *srvWriter) error {
 }
 
 // handleQueryCO opens a CO view's stream, sends the schema frame and
-// leaves the stream for subsequent FETCHes: per-output plans are cloned
-// from the engine's template cache and drained lazily as FETCH demand
+// leaves the stream for subsequent FETCHes: the per-output plans of the
+// engine's template cache run in place and drain lazily as FETCH demand
 // arrives, so the server never materializes a DAG CO — its memory per
 // extraction is one fetch chunk. A recursive view's fixpoint runs at the
 // first FETCH, under the same statement context, and holds the view's
