@@ -213,7 +213,7 @@ func TestAutoParamOrdinalsStayInKey(t *testing.T) {
 	for _, e := range db.CacheStats() {
 		keys[e.SQL] = true
 	}
-	if !keys["SELECT ENAME , SAL FROM EMP ORDER BY 1"] || !keys["SELECT ENAME , SAL FROM EMP ORDER BY 2"] {
+	if !keys["SELECT ename , sal FROM EMP ORDER BY 1"] || !keys["SELECT ename , sal FROM EMP ORDER BY 2"] {
 		t.Fatalf("cache keys %v, want one entry per ordinal", keys)
 	}
 	for i := 1; i < len(first.Rows); i++ {
@@ -224,6 +224,32 @@ func TestAutoParamOrdinalsStayInKey(t *testing.T) {
 	for i := 1; i < len(second.Rows); i++ {
 		if types.Compare(second.Rows[i-1][1], second.Rows[i][1]) > 0 {
 			t.Fatalf("ORDER BY 2 is not ordered by sal: %v", second.Rows)
+		}
+	}
+}
+
+// TestAutoParamKeepsIdentifierSpelling pins that a cached plan labels its
+// columns as the caller's text spells them, whichever spelling compiled
+// first, while texts that differ only in keyword case share one entry.
+func TestAutoParamKeepsIdentifierSpelling(t *testing.T) {
+	for _, order := range [][]string{{"ename", "ENAME"}, {"ENAME", "ename"}} {
+		db := orgDB(t)
+		for _, spelling := range order {
+			res, err := db.Query("SELECT " + spelling + " FROM EMP WHERE eno = 1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Cols[0].Name; got != spelling {
+				t.Fatalf("after %v: SELECT %s labels its column %q", order, spelling, got)
+			}
+		}
+		before := db.Metrics.Compiles.Load()
+		res, err := db.Query("select " + order[0] + " from EMP where eno = 2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Metrics.Compiles.Load() - before; got != 0 || res.Cols[0].Name != order[0] {
+			t.Fatalf("keyword-case variant compiled %d times and labels %q, want 0 and %q", got, res.Cols[0].Name, order[0])
 		}
 	}
 }

@@ -9,13 +9,16 @@ import (
 )
 
 // normalized is a statement text's identity in the plan cache. Texts that
-// differ only in whitespace, keyword and identifier case, or the values of
-// their liftable literals share a key, and so share one compiled plan.
+// differ only in whitespace, keyword case, or the values of their liftable
+// literals share a key, and so share one compiled plan. Identifiers keep
+// their spelling: a plan labels its output columns as its text spells
+// them, so `SELECT a` and `SELECT A` must not share one.
 type normalized struct {
 	// key renders the token stream canonically: one space between tokens,
-	// keywords and identifiers (ASCII letters) upper-cased, strings re-quoted, a
-	// caller's `?` as "?" and each lifted literal as a typed marker ("?i",
-	// "?f", "?s"), so the literal's type stays part of the key.
+	// keywords upper-cased (the lexer folds them), identifiers as written,
+	// strings re-quoted, a caller's `?` as "?" and each lifted literal as a
+	// typed marker ("?i", "?f", "?s"), so the literal's type stays part of
+	// the key.
 	key string
 	// nparams is the number of the caller's `?` markers.
 	nparams int
@@ -106,8 +109,6 @@ func normalize(sql string, lift bool) (normalized, error) {
 			}
 		}
 		switch t.Kind {
-		case lexer.Ident:
-			write(asciiUpper(t.Text))
 		case lexer.String:
 			write("'" + strings.ReplaceAll(t.Text, "'", "''") + "'")
 		case lexer.Symbol:
@@ -232,27 +233,6 @@ func endsOperand(t lexer.Token) bool {
 		return t.Text == "NULL" || t.Text == "TRUE" || t.Text == "FALSE" || t.Text == "END"
 	}
 	return false
-}
-
-// asciiUpper upper-cases the ASCII letters of an identifier and keeps
-// every other byte, so the key never merges two names that differ in
-// bytes strings.ToUpper would fold or replace (invalid UTF-8 becomes
-// U+FFFD there), and it re-lexes as the identifier it came from.
-func asciiUpper(s string) string {
-	i := 0
-	for i < len(s) && !('a' <= s[i] && s[i] <= 'z') {
-		i++
-	}
-	if i == len(s) {
-		return s
-	}
-	b := []byte(s)
-	for ; i < len(b); i++ {
-		if 'a' <= b[i] && b[i] <= 'z' {
-			b[i] -= 'a' - 'A'
-		}
-	}
-	return string(b)
 }
 
 // placeholderText is the text with each lifted literal replaced by `?`:

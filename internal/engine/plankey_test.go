@@ -60,9 +60,9 @@ func sqlOf(v types.Value) string {
 	return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 }
 
-// canonTokens renders a token stream for comparison: identifiers
-// ASCII-upper-cased, numbers by value, and prefix minus signs folded into the
-// number after them, as the parser folds them (so -0 and 0 compare equal).
+// canonTokens renders a token stream for comparison: identifiers as
+// written, numbers by value, and prefix minus signs folded into the number
+// after them, as the parser folds them (so -0 and 0 compare equal).
 func canonTokens(toks []lexer.Token) []string {
 	var out []string
 	for i := 0; i < len(toks) && toks[i].Kind != lexer.EOF; i++ {
@@ -82,8 +82,6 @@ func canonTokens(toks []lexer.Token) []string {
 		}
 		text := tok.Text
 		switch tok.Kind {
-		case lexer.Ident:
-			text = asciiUpper(text)
 		case lexer.Int, lexer.Float:
 			if f, err := strconv.ParseFloat(neg+text, 64); err == nil {
 				text = strconv.FormatFloat(f, 'g', -1, 64)

@@ -280,8 +280,8 @@ func mergeDep(deps []string, name string) []string {
 
 // Prepare compiles a statement against the current catalog, consulting and
 // populating the database's plan cache. The cache key is the statement's
-// shape (see normalizeSQL): texts that differ in whitespace, keyword or
-// identifier case, or the values of their literals share one compiled plan,
+// shape (see normalizeSQL): texts that differ in whitespace, keyword case,
+// or the values of their literals share one compiled plan,
 // and the returned handle binds its own literals at each execution. So
 // 4000 point lookups that differ only in their key compile once, and so
 // does literal DML. The returned Stmt stays valid across DDL: every

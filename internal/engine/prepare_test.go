@@ -126,8 +126,8 @@ func TestPlanCacheSkipsCompile(t *testing.T) {
 	if got := db.Metrics.Compiles.Load(); got != compiles {
 		t.Fatalf("cached statement recompiled: %d -> %d", compiles, got)
 	}
-	// Token-equivalent text (case, whitespace) shares the entry.
-	sortedEqual(t, queryStrings(t, db, "select  ename  from emp\nwhere SAL > 250"), first)
+	// Token-equivalent text (keyword case, whitespace) shares the entry.
+	sortedEqual(t, queryStrings(t, db, "select  ename  from EMP\nwhere sal > 250"), first)
 	if got := db.Metrics.Compiles.Load(); got != compiles {
 		t.Fatalf("normalized variant recompiled: %d -> %d", compiles, got)
 	}

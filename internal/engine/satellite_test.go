@@ -157,7 +157,7 @@ func TestCacheStatsHitCounters(t *testing.T) {
 	}
 	var hits int64 = -1
 	for _, e := range stats {
-		if strings.Contains(e.SQL, "SAL > ?i") {
+		if strings.Contains(e.SQL, "sal > ?i") {
 			hits = e.Hits
 		}
 	}

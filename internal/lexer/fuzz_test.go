@@ -20,6 +20,7 @@ func FuzzLex(f *testing.F) {
 		"1e309 .5 0x 9999999999999999999999999",
 		"SELECT ?",
 		"\x00\xff\xfe",
+		"CREATE TABLE té (a INT)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

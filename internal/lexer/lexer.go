@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Kind classifies a token.
@@ -59,6 +60,7 @@ func Lex(input string) ([]Token, error) {
 	n := len(input)
 	for i < n {
 		c := input[i]
+		r, _ := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case c == '\n':
 			line++
@@ -69,10 +71,14 @@ func Lex(input string) ([]Token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(r):
 			start := i
-			for i < n && isIdentPart(rune(input[i])) {
-				i++
+			for i < n {
+				r, size := utf8.DecodeRuneInString(input[i:])
+				if !isIdentPart(r) {
+					break
+				}
+				i += size
 			}
 			word := input[start:i]
 			up := strings.ToUpper(word)
@@ -155,7 +161,7 @@ func Lex(input string) ([]Token, error) {
 				toks = append(toks, Token{Kind: Symbol, Text: string(c), Pos: i, End: i + 1, Line: line})
 				i++
 			default:
-				return nil, fmt.Errorf("lexer: unexpected character %q at line %d", c, line)
+				return nil, fmt.Errorf("lexer: unexpected character %q at line %d", r, line)
 			}
 		}
 	}

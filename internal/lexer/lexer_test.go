@@ -116,3 +116,21 @@ func TestSymbols(t *testing.T) {
 		}
 	}
 }
+
+func TestUTF8Identifiers(t *testing.T) {
+	toks, err := Lex("CREATE TABLE té (a INT, ñame_2 INT)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range map[int]string{2: "té", 7: "ñame_2"} {
+		if toks[i].Kind != Ident || toks[i].Text != w {
+			t.Errorf("token %d = %v, want identifier %q", i, toks[i], w)
+		}
+	}
+	if toks[2].End-toks[2].Pos != len("té") {
+		t.Errorf("té spans %d bytes, want %d", toks[2].End-toks[2].Pos, len("té"))
+	}
+	if _, err := Lex("a \xa9 b"); err == nil {
+		t.Error("a stray continuation byte should fail")
+	}
+}
