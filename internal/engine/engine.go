@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"xnf/internal/ast"
 	"xnf/internal/catalog"
@@ -116,8 +117,32 @@ func (db *Database) Exec(sql string, args ...types.Value) (int64, error) {
 	return stmt.Exec(args...)
 }
 
-// ExecStmt runs a parsed statement.
+// ExecStmt runs a parsed statement and observes it in the statement
+// metrics, as a prepared statement's Exec does.
 func (db *Database) ExecStmt(stmt ast.Statement) (int64, error) {
+	switch stmt.(type) {
+	case *ast.SelectStmt:
+		return 0, fmt.Errorf("engine: use Query for SELECT statements")
+	case *ast.XNFQuery:
+		return 0, fmt.Errorf("engine: use the CO API for XNF queries")
+	}
+	start := time.Now()
+	n, err := db.execStmt(stmt)
+	verb := byte(0)
+	switch stmt.(type) {
+	case *ast.InsertStmt:
+		verb = 'I'
+	case *ast.UpdateStmt:
+		verb = 'U'
+	case *ast.DeleteStmt:
+		verb = 'D'
+	}
+	db.stats.observeParsed(verb, stmt, start, n, exec.Counters{}, err)
+	return n, err
+}
+
+// execStmt runs a parsed DDL or DML statement.
+func (db *Database) execStmt(stmt ast.Statement) (int64, error) {
 	switch s := stmt.(type) {
 	case *ast.CreateTableStmt:
 		return 0, db.createTable(s)
@@ -155,10 +180,6 @@ func (db *Database) ExecStmt(stmt ast.Statement) (int64, error) {
 		return db.execUpdate(s, nil)
 	case *ast.DeleteStmt:
 		return db.execDelete(s, nil)
-	case *ast.SelectStmt:
-		return 0, fmt.Errorf("engine: use Query for SELECT statements")
-	case *ast.XNFQuery:
-		return 0, fmt.Errorf("engine: use the CO API for XNF queries")
 	default:
 		return 0, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
@@ -204,14 +225,17 @@ func (db *Database) Query(sql string, args ...types.Value) (*Result, error) {
 	return stmt.Query(args...)
 }
 
-// QueryStmt compiles and runs a parsed SELECT.
+// QueryStmt compiles and runs a parsed SELECT, observing it in the
+// statement metrics.
 func (db *Database) QueryStmt(sel *ast.SelectStmt) (*Result, error) {
-	plan, _, err := db.compileSelectDeps(sel)
-	if err != nil {
-		return nil, err
-	}
+	start := time.Now()
 	ctx := exec.NewCtx(db.store)
-	rows, err := exec.Collect(ctx, plan)
+	plan, _, err := db.compileSelectDeps(sel)
+	var rows []types.Row
+	if err == nil {
+		rows, err = exec.Collect(ctx, plan)
+	}
+	db.stats.observeParsed('S', sel, start, int64(len(rows)), ctx.Counters, err)
 	if err != nil {
 		return nil, err
 	}

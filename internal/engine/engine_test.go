@@ -409,3 +409,19 @@ func TestSelectNoFrom(t *testing.T) {
 }
 
 var _ = types.Null
+
+// TestUTF8Identifiers pins that non-ASCII names lex and resolve through
+// DDL, DML and queries.
+func TestUTF8Identifiers(t *testing.T) {
+	db := Open()
+	if err := db.ExecScript("CREATE TABLE té (a INT, ñ TEXT); INSERT INTO té VALUES (1, 'x')"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("SELECT ñ FROM té WHERE a = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].S != "x" || res.Cols[0].Name != "ñ" {
+		t.Fatalf("SELECT ñ FROM té = %v %v", res.Cols, res.Rows)
+	}
+}

@@ -203,7 +203,7 @@ func (s *Stmt) Exec(args ...types.Value) (int64, error) {
 		n, err = s.db.runDelete(st, s.mut, s.bind(args))
 	default:
 		// DDL never carries placeholders (Prepare rejects it); run as-is.
-		n, err = s.db.ExecStmt(s.other)
+		n, err = s.db.execStmt(s.other)
 	}
 	s.db.stats.observeStatement(verb, s.text, start, n, exec.Counters{}, err)
 	return n, err

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xnf/internal/ast"
 	"xnf/internal/exec"
 	"xnf/internal/metrics"
 	"xnf/internal/resource"
@@ -240,8 +241,7 @@ func (s *dbStats) observeStatement(verb byte, sql string, start time.Time, rows 
 	s.memFallbacks.Add(c.MemFallbacks)
 	s.memReserved.Add(c.MemReserved)
 
-	thresh := s.slowThreshold.Load()
-	if thresh <= 0 || int64(elapsed) < thresh || err != nil {
+	if !s.isSlow(elapsed) || err != nil {
 		return
 	}
 	s.slowTotal.Inc()
@@ -255,6 +255,24 @@ func (s *dbStats) observeStatement(verb byte, sql string, start time.Time, rows 
 		s.slowNext = (s.slowNext + 1) % slowLogCap
 	}
 	s.slowMu.Unlock()
+}
+
+// isSlow reports whether a statement that ran for elapsed belongs in the
+// slow-query log.
+func (s *dbStats) isSlow(elapsed time.Duration) bool {
+	thresh := s.slowThreshold.Load()
+	return thresh > 0 && int64(elapsed) >= thresh
+}
+
+// observeParsed is observeStatement for a statement that has no text of
+// its own (a script statement, a parsed statement): it is deparsed only
+// when the slow-query log records it.
+func (s *dbStats) observeParsed(verb byte, stmt ast.Statement, start time.Time, rows int64, c exec.Counters, err error) {
+	sql := ""
+	if s.isSlow(time.Since(start)) {
+		sql = stmt.String()
+	}
+	s.observeStatement(verb, sql, start, rows, c, err)
 }
 
 // DebugVars returns the extra /debug/vars entries for this database —

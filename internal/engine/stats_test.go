@@ -151,3 +151,34 @@ func TestPlanCacheMetricsFuncs(t *testing.T) {
 		t.Errorf("colstore bytes = %d (ok=%v)", b, ok)
 	}
 }
+
+// TestScriptStatementMetrics pins that statements run through ExecScript
+// (loaders, schema files) move the statement counters like Exec does.
+func TestScriptStatementMetrics(t *testing.T) {
+	db := Open()
+	reg := db.Registry()
+	if err := db.ExecScript(`
+		CREATE TABLE s (id INT NOT NULL, v TEXT, PRIMARY KEY (id));
+		INSERT INTO s VALUES (1, 'a');
+		INSERT INTO s VALUES (2, 'b');
+		INSERT INTO s VALUES (3, 'c');
+		UPDATE s SET v = 'z' WHERE id > 1;
+		SELECT v FROM s;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{
+		"xnf_statements_ddl_total":    1,
+		"xnf_statements_insert_total": 3,
+		"xnf_statements_update_total": 1,
+		"xnf_statements_select_total": 1,
+		"xnf_rows_affected_total":     5, // 3 inserts + 2 updated rows
+		"xnf_rows_returned_total":     3,
+		"xnf_statement_latency_ns":    6,
+	}
+	for name, v := range want {
+		if got, ok := reg.Value(name); !ok || got != v {
+			t.Errorf("%s = %d (ok=%v), want %d", name, got, ok, v)
+		}
+	}
+}
