@@ -324,7 +324,7 @@ func (a *AggPlan) fold(ctx *Ctx, child Iter, params types.Row) ([]types.Row, err
 			}
 			key[i] = v
 		}
-		h := hashKey(key)
+		h := key.HashAll()
 		var grp *group
 		for _, g := range groups[h] {
 			if types.EqualRows(g.key, key) {

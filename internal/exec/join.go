@@ -166,7 +166,7 @@ func (j *HashJoinPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 		if null {
 			continue // NULL keys never join
 		}
-		h := hashKey(key)
+		h := key.HashAll()
 		it.table[h] = append(it.table[h], append(key, row...))
 		built++
 	}
@@ -194,14 +194,6 @@ func evalKey(keys []Expr, env *Env) (key types.Row, null bool, err error) {
 		key[i] = v
 	}
 	return key, null, nil
-}
-
-func hashKey(key types.Row) uint64 {
-	ords := make([]int, len(key))
-	for i := range ords {
-		ords[i] = i
-	}
-	return key.Hash(ords)
 }
 
 type hashJoinIter struct {
@@ -251,7 +243,7 @@ func (j *hashJoinIter) Next(ctx *Ctx) (types.Row, error) {
 		add(&ctx.Counters.JoinProbeRows, 1)
 		j.curLeft = left
 		j.curKey = key
-		j.bucket = j.table[hashKey(key)]
+		j.bucket = j.table[key.HashAll()]
 		j.bpos = 0
 	}
 }

@@ -611,7 +611,7 @@ func (d *DistinctPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &unionIter{children: []Iter{child}, dedup: newDedup(len(d.Child.Columns()))}, nil
+	return &unionIter{children: []Iter{child}, dedup: dedup{}}, nil
 }
 
 // Columns implements Node.
@@ -623,29 +623,18 @@ func (d *DistinctPlan) Explain(indent int) string {
 }
 
 // dedup is the seen-set of a duplicate-eliminating iterator.
-type dedup struct {
-	seen map[uint64][]types.Row
-	all  []int
-}
-
-func newDedup(width int) *dedup {
-	d := &dedup{seen: make(map[uint64][]types.Row), all: make([]int, width)}
-	for i := range d.all {
-		d.all[i] = i
-	}
-	return d
-}
+type dedup map[uint64][]types.Row
 
 // first reports whether row is the first occurrence of its value, and
 // records it.
-func (d *dedup) first(row types.Row) bool {
-	h := row.Hash(d.all)
-	for _, prev := range d.seen[h] {
+func (d dedup) first(row types.Row) bool {
+	h := row.HashAll()
+	for _, prev := range d[h] {
 		if types.EqualRows(prev, row) {
 			return false
 		}
 	}
-	d.seen[h] = append(d.seen[h], row)
+	d[h] = append(d[h], row)
 	return true
 }
 
@@ -776,7 +765,7 @@ type UnionPlan struct {
 func (u *UnionPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	it := &unionIter{children: make([]Iter, 0, len(u.Children))}
 	if u.Distinct {
-		it.dedup = newDedup(len(u.Columns()))
+		it.dedup = dedup{}
 	}
 	for _, c := range u.Children {
 		child, err := c.Open(ctx, params)
@@ -794,7 +783,7 @@ func (u *UnionPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 type unionIter struct {
 	children []Iter
 	cur      int
-	dedup    *dedup
+	dedup    dedup // nil keeps duplicates
 }
 
 func (u *unionIter) Next(ctx *Ctx) (types.Row, error) {

@@ -83,7 +83,7 @@ func (s *Subplan) evalExists(env *Env) (types.TriBool, error) {
 			if len(probe) == 0 {
 				matched = total > 0
 			} else {
-				for _, entry := range tbl.buckets[hashKey(probe)] {
+				for _, entry := range tbl.buckets[probe.HashAll()] {
 					if types.EqualRows(entry[:tbl.nkeys], probe) {
 						matched = true
 						break
@@ -170,7 +170,7 @@ func (s *Subplan) evalScalar(env *Env) (types.Value, error) {
 				}
 			}
 		} else {
-			for _, entry := range tbl.buckets[hashKey(probe)] {
+			for _, entry := range tbl.buckets[probe.HashAll()] {
 				if types.EqualRows(entry[:tbl.nkeys], probe) {
 					count++
 					if found == nil {
@@ -249,7 +249,7 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 				tbl.hasNull = true
 				continue
 			}
-			tbl.buckets[hashKey(key)] = append(tbl.buckets[hashKey(key)], append(key, row...))
+			tbl.buckets[key.HashAll()] = append(tbl.buckets[key.HashAll()], append(key, row...))
 		}
 		add(&env.Ctx.Counters.HashBuilds, 1)
 		return tbl, nil

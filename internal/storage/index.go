@@ -53,13 +53,7 @@ func (h *hashIndex) remove(row types.Row, rid RID) {
 	}
 }
 
-func (h *hashIndex) lookup(key types.Row) []RID {
-	ords := make([]int, len(key))
-	for i := range key {
-		ords[i] = i
-	}
-	return h.buckets[key.Hash(ords)]
-}
+func (h *hashIndex) lookup(key types.Row) []RID { return h.buckets[key.HashAll()] }
 
 // orderedIndex keeps (key, rid) entries sorted; maintenance is lazy — bulk
 // loads append and the structure re-sorts on the first read after a write,
@@ -103,33 +97,36 @@ func (o *orderedIndex) ensureSorted() {
 	if !o.dirty {
 		return
 	}
-	all := make([]int, len(o.ords))
-	for i := range all {
-		all[i] = i
-	}
 	sort.SliceStable(o.entries, func(i, j int) bool {
-		return types.CompareRows(o.entries[i].key, o.entries[j].key, all, nil) < 0
+		return compareKey(o.entries[i].key, o.entries[j].key) < 0
 	})
 	o.dirty = false
 }
 
 func (o *orderedIndex) lookup(key types.Row) []RID {
 	o.ensureSorted()
-	all := make([]int, len(key))
-	for i := range all {
-		all[i] = i
-	}
 	lo := sort.Search(len(o.entries), func(i int) bool {
-		return types.CompareRows(o.entries[i].key, key, all, nil) >= 0
+		return compareKey(o.entries[i].key, key) >= 0
 	})
 	var out []RID
 	for i := lo; i < len(o.entries); i++ {
-		if types.CompareRows(o.entries[i].key, key, all, nil) != 0 {
+		if compareKey(o.entries[i].key, key) != 0 {
 			break
 		}
 		out = append(out, o.entries[i].rid)
 	}
 	return out
+}
+
+// compareKey orders an index key against another key, or against a probe
+// prefix, on the columns of b.
+func compareKey(a, b types.Row) int {
+	for i := range b {
+		if c := types.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // --- checkpoint codec ---

@@ -461,3 +461,33 @@ func TestKeyUpperCaseNoCopy(t *testing.T) {
 		t.Errorf("key of an upper-case name allocates %v times, want 0", n)
 	}
 }
+
+// TestIndexProbeAllocs pins that an equality probe of an ordered index
+// allocates only its result slice, and a hash probe the same: neither
+// builds an ordinal slice to compare or hash the key.
+func TestIndexProbeAllocs(t *testing.T) {
+	s := testStore(t)
+	td, _ := s.Table("EMP")
+	for i := int64(1); i <= 100; i++ {
+		td.Insert(emp(i, "e", i%7, float64(i)))
+	}
+	for _, idx := range []*catalog.Index{
+		{Name: "EMP_SAL", Table: "EMP", Columns: []string{"SAL"}, Kind: catalog.OrderedIndex},
+		{Name: "EMP_SAL_H", Table: "EMP", Columns: []string{"SAL"}, Kind: catalog.HashIndex},
+	} {
+		if err := s.CreateIndex(idx); err != nil {
+			t.Fatal(err)
+		}
+		key := types.Row{types.NewFloat(42)}
+		probe := func() {
+			rids, err := td.IndexLookup(idx.Name, key)
+			if err != nil || len(rids) != 1 {
+				t.Fatalf("%s: probe = %v, %v; want one row", idx.Name, rids, err)
+			}
+		}
+		probe() // an ordered index sorts on its first read
+		if n := testing.AllocsPerRun(100, probe); n != 1 {
+			t.Errorf("%s: a one-row probe allocates %v times, want 1 (its result)", idx.Name, n)
+		}
+	}
+}

@@ -340,7 +340,12 @@ func (t *TableData) IndexLookup(indexName string, keyVals types.Row) ([]RID, err
 	}
 	h, hashed := idx.(*hashIndex)
 	rids := idx.lookup(keyVals)
-	out := make([]RID, 0, len(rids))
+	// A hash lookup returns the index's own bucket; an ordered lookup
+	// returns a fresh slice, which is filtered in place.
+	out := rids[:0]
+	if hashed {
+		out = make([]RID, 0, len(rids))
+	}
 	for _, rid := range rids {
 		if t.heap.live(rid) && (!hashed || t.keyEqualLocked(rid, h.ords, keyVals)) {
 			out = append(out, rid)

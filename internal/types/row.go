@@ -32,6 +32,16 @@ func (r Row) Hash(cols []int) uint64 {
 	return h
 }
 
+// HashAll is Hash over every column, without an ordinal slice: the hash
+// of a key row (join, grouping and subplan keys, index probes).
+func (r Row) HashAll() uint64 {
+	h := uint64(fnvOffset64)
+	for i := range r {
+		h = fnvLE(h, r[i].Hash())
+	}
+	return h
+}
+
 // EqualOn reports whether two rows agree on the given columns under Equal.
 func (r Row) EqualOn(o Row, cols []int) bool {
 	for _, c := range cols {

@@ -423,7 +423,10 @@ func TestHashPinned(t *testing.T) {
 		}
 	}
 	cols := []int{0, 1, 2, 3}
-	if n := testing.AllocsPerRun(100, func() { r.Hash(cols); r[1].Hash() }); n != 0 {
+	if got, want := r.HashAll(), r.Hash(cols); got != want {
+		t.Errorf("Row.HashAll() = %#x, want Row.Hash(all columns) = %#x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Hash(cols); r.HashAll(); r[1].Hash() }); n != 0 {
 		t.Errorf("hashing allocates %v times per run, want 0", n)
 	}
 }
