@@ -27,11 +27,11 @@ func (j *NLJoinPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &nlJoinIter{node: j, left: left, params: params}, nil
+	return &nlJoinIter{NLJoinPlan: j, left: left, params: params}, nil
 }
 
 type nlJoinIter struct {
-	node        *NLJoinPlan
+	*NLJoinPlan
 	left, right Iter
 	params      types.Row
 	curLeft     types.Row
@@ -58,11 +58,11 @@ func (j *nlJoinIter) Next(ctx *Ctx) (types.Row, error) {
 			}
 			j.curLeft = left
 			rp := j.params
-			if j.node.RightParams != nil {
+			if j.RightParams != nil {
 				env.Row = left
-				frame := make(types.Row, 0, len(j.params)+len(j.node.RightParams))
+				frame := make(types.Row, 0, len(j.params)+len(j.RightParams))
 				frame = append(frame, j.params...)
-				for _, e := range j.node.RightParams {
+				for _, e := range j.RightParams {
 					v, err := e.Eval(&env)
 					if err != nil {
 						return nil, err
@@ -78,7 +78,7 @@ func (j *nlJoinIter) Next(ctx *Ctx) (types.Row, error) {
 					return nil, err
 				}
 			}
-			right, err := j.node.Right.Open(ctx, rp)
+			right, err := j.Right.Open(ctx, rp)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +94,7 @@ func (j *nlJoinIter) Next(ctx *Ctx) (types.Row, error) {
 		}
 		joined := j.curLeft.Concat(right)
 		env.Row = joined
-		ok, err := EvalPred(j.node.Pred, &env)
+		ok, err := EvalPred(j.Pred, &env)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func (j *HashJoinPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &hashJoinIter{node: j, params: params, table: make(map[uint64][]types.Row)}
+	it := &hashJoinIter{HashJoinPlan: j, params: params, table: make(map[uint64][]types.Row)}
 	env := Env{Params: params, Ctx: ctx}
 	built := int64(0)
 	for {
@@ -197,7 +197,7 @@ func evalKey(keys []Expr, env *Env) (key types.Row, null bool, err error) {
 }
 
 type hashJoinIter struct {
-	node    *HashJoinPlan
+	*HashJoinPlan
 	left    Iter
 	params  types.Row
 	table   map[uint64][]types.Row
@@ -209,7 +209,7 @@ type hashJoinIter struct {
 
 func (j *hashJoinIter) Next(ctx *Ctx) (types.Row, error) {
 	env := Env{Params: j.params, Ctx: ctx}
-	nkeys := len(j.node.RightKeys)
+	nkeys := len(j.RightKeys)
 	for {
 		for j.bpos < len(j.bucket) {
 			entry := j.bucket[j.bpos]
@@ -220,7 +220,7 @@ func (j *hashJoinIter) Next(ctx *Ctx) (types.Row, error) {
 			}
 			joined := j.curLeft.Concat(erow)
 			env.Row = joined
-			ok, err := EvalPred(j.node.Residual, &env)
+			ok, err := EvalPred(j.Residual, &env)
 			if err != nil {
 				return nil, err
 			}
@@ -233,7 +233,7 @@ func (j *hashJoinIter) Next(ctx *Ctx) (types.Row, error) {
 			return nil, err
 		}
 		env.Row = left
-		key, null, err := evalKey(j.node.LeftKeys, &env)
+		key, null, err := evalKey(j.LeftKeys, &env)
 		if err != nil {
 			return nil, err
 		}

@@ -398,8 +398,11 @@ func (p *IndexLookupPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	}
 	it := &filterIter{filter: p.Filter, params: params}
 	key, ok, err := ProbeKey(p.Keys, &Env{Params: params, Ctx: ctx})
-	if err != nil || !ok {
-		return it, err
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return it, nil
 	}
 	rids, err := td.IndexLookup(p.Index, key)
 	if err != nil {
@@ -691,7 +694,10 @@ func (s *SortPlan) Open(ctx *Ctx, params types.Row) (Iter, error) {
 	for i, d := range data {
 		rows[i] = d.row
 	}
-	return Replay(rows), child.Close(ctx)
+	if err := child.Close(ctx); err != nil {
+		return nil, err
+	}
+	return Replay(rows), nil
 }
 
 // Columns implements Node.

@@ -60,7 +60,10 @@ func Lex(input string) ([]Token, error) {
 	n := len(input)
 	for i < n {
 		c := input[i]
-		r, _ := utf8.DecodeRuneInString(input[i:])
+		r := rune(c)
+		if c >= utf8.RuneSelf {
+			r, _ = utf8.DecodeRuneInString(input[i:])
+		}
 		switch {
 		case c == '\n':
 			line++
@@ -73,16 +76,23 @@ func Lex(input string) ([]Token, error) {
 			}
 		case isIdentStart(r):
 			start := i
+			ascii := true
 			for i < n {
-				r, size := utf8.DecodeRuneInString(input[i:])
+				r, size := rune(input[i]), 1
+				if r >= utf8.RuneSelf {
+					r, size = utf8.DecodeRuneInString(input[i:])
+				}
 				if !isIdentPart(r) {
 					break
 				}
+				ascii = ascii && size == 1
 				i += size
 			}
 			word := input[start:i]
+			// Keywords are ASCII: Unicode case folding would turn a name
+			// such as ſelect (long s) into SELECT.
 			up := strings.ToUpper(word)
-			if keywords[up] {
+			if ascii && keywords[up] {
 				toks = append(toks, Token{Kind: Keyword, Text: up, Pos: start, End: i, Line: line})
 			} else {
 				toks = append(toks, Token{Kind: Ident, Text: word, Pos: start, End: i, Line: line})

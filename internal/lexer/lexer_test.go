@@ -130,6 +130,9 @@ func TestUTF8Identifiers(t *testing.T) {
 	if toks[2].End-toks[2].Pos != len("té") {
 		t.Errorf("té spans %d bytes, want %d", toks[2].End-toks[2].Pos, len("té"))
 	}
+	if toks, err := Lex("ſelect"); err != nil || toks[0].Kind != Ident {
+		t.Errorf("ſelect = %v, %v; want an identifier, not the keyword its upper case spells", toks, err)
+	}
 	if _, err := Lex("a \xa9 b"); err == nil {
 		t.Error("a stray continuation byte should fail")
 	}
