@@ -128,17 +128,21 @@ func (db *Database) ExecStmt(stmt ast.Statement) (int64, error) {
 	}
 	start := time.Now()
 	n, err := db.execStmt(stmt)
-	verb := byte(0)
+	db.stats.observeParsed(verbOf(stmt), stmt, start, n, exec.Counters{}, err)
+	return n, err
+}
+
+// verbOf classifies a DDL or DML statement for the statement counters.
+func verbOf(stmt ast.Statement) byte {
 	switch stmt.(type) {
 	case *ast.InsertStmt:
-		verb = 'I'
+		return 'I'
 	case *ast.UpdateStmt:
-		verb = 'U'
+		return 'U'
 	case *ast.DeleteStmt:
-		verb = 'D'
+		return 'D'
 	}
-	db.stats.observeParsed(verb, stmt, start, n, exec.Counters{}, err)
-	return n, err
+	return 0
 }
 
 // execStmt runs a parsed DDL or DML statement.

@@ -188,24 +188,20 @@ func (s *Stmt) Exec(args ...types.Value) (int64, error) {
 	}
 	start := time.Now()
 	var n int64
-	verb := byte(0)
 	switch st := s.other.(type) {
 	case *ast.InsertStmt:
-		verb = 'I'
 		n, err = s.db.execInsertWith(st, s.bind(args), s.plan, s.insertRows)
 	case *ast.UpdateStmt:
 		// The mutation was compiled at Prepare; Revalidate guarantees it
 		// matches the current catalog version.
-		verb = 'U'
 		n, err = s.db.runUpdate(st, s.mut, s.bind(args))
 	case *ast.DeleteStmt:
-		verb = 'D'
 		n, err = s.db.runDelete(st, s.mut, s.bind(args))
 	default:
 		// DDL never carries placeholders (Prepare rejects it); run as-is.
 		n, err = s.db.execStmt(s.other)
 	}
-	s.db.stats.observeStatement(verb, s.text, start, n, exec.Counters{}, err)
+	s.db.stats.observeStatement(verbOf(s.other), s.text, start, n, exec.Counters{}, err)
 	return n, err
 }
 

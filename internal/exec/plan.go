@@ -212,12 +212,7 @@ func (h *handle) Open(ctx *Ctx, params types.Row) error {
 	return err
 }
 
-func (h *handle) Next(ctx *Ctx) (types.Row, error) {
-	if h.it == nil {
-		return nil, nil
-	}
-	return h.it.Next(ctx)
-}
+func (h *handle) Next(ctx *Ctx) (types.Row, error) { return h.it.Next(ctx) }
 
 func (h *handle) Close(ctx *Ctx) error {
 	if h.it == nil {
